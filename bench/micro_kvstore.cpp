@@ -114,6 +114,30 @@ void BM_KvPublishBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_KvPublishBatch)->Arg(1000)->Arg(10000)->Arg(100000);
 
+void BM_KvPublishCold(benchmark::State& state) {
+  // The first publish of a `range`-entry table into an empty store — the
+  // controller's set-up publish. Every key is new, so each shard grows
+  // from its minimum bucket array within one publish; a fresh store per
+  // iteration keeps that cold path measured (BM_KvPublishBatch pays it
+  // once, then times rewrites).
+  std::vector<std::pair<std::string, std::string>> batch;
+  for (int i = 0; i < state.range(0); ++i) {
+    batch.emplace_back("path/" + std::to_string(i), "7:1,2,3|9:1,4");
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto store = std::make_unique<KvStore>(2);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(store->publish(batch));
+    state.PauseTiming();
+    store.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_KvPublishCold)->Arg(10000)->Arg(100000)->Arg(250000)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_KvPublishDelta(benchmark::State& state) {
   // Same interval with 10% churn published as a delta against a 10k-key
   // live table: snapshot rebuild cost scales with the delta, not the table.

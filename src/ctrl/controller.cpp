@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <unordered_map>
 
 #include "megate/dataplane/host_stack.h"
 
@@ -12,12 +11,37 @@ std::string path_key(std::uint64_t instance_id) {
   return "path/" + std::to_string(instance_id);
 }
 
-std::string encode_hops(const std::vector<std::uint32_t>& hops) {
-  std::string out;
+namespace {
+
+void append_uint(std::string& out, std::uint32_t v) {
+  char buf[10];  // 2^32 - 1 has ten digits
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+void append_hops(std::string& out, const std::vector<std::uint32_t>& hops) {
   for (std::size_t i = 0; i < hops.size(); ++i) {
     if (i) out.push_back(',');
-    out += std::to_string(hops[i]);
+    append_uint(out, hops[i]);
   }
+}
+
+/// Appends one route-table entry, "dst:h1,h2" ('*' for the wildcard).
+void append_route(std::string& out, std::uint32_t dst_site,
+                  const std::vector<std::uint32_t>& hops) {
+  if (dst_site == dataplane::kAnyDstSite) {
+    out.push_back('*');
+  } else {
+    append_uint(out, dst_site);
+  }
+  out.push_back(':');
+  append_hops(out, hops);
+}
+
+}  // namespace
+
+std::string encode_hops(const std::vector<std::uint32_t>& hops) {
+  std::string out;
+  append_hops(out, hops);
   return out;
 }
 
@@ -40,13 +64,7 @@ std::string encode_routes(const std::vector<RouteEntry>& routes) {
   std::string out;
   for (std::size_t i = 0; i < routes.size(); ++i) {
     if (i) out.push_back('|');
-    if (routes[i].dst_site == dataplane::kAnyDstSite) {
-      out.push_back('*');
-    } else {
-      out += std::to_string(routes[i].dst_site);
-    }
-    out.push_back(':');
-    out += encode_hops(routes[i].hops);
+    append_route(out, routes[i].dst_site, routes[i].hops);
   }
   return out;
 }
@@ -87,17 +105,19 @@ std::uint64_t Controller::full_table_bytes() const noexcept {
 
 Version Controller::publish_solution(const te::TeProblem& problem,
                                      const te::TeSolution& sol) {
-  // Collect each source instance's route table: one entry per destination
-  // site it has an assigned flow towards. When several flows of the same
-  // (instance, destination site) land on different tunnels, the largest
-  // flow's tunnel wins — the instance-level pinning of §4.1.
-  struct Picked {
-    double demand = -1.0;
-    RouteEntry route;
+  // Every assigned flow is a candidate route for its (source instance,
+  // destination site). Sorting them by (instance, site) lays each
+  // instance's table out contiguously with its sites ascending — the
+  // canonical encoding, so an unchanged table produces a byte-identical
+  // string and therefore no delta entry. The sort is stable, so equal
+  // (instance, site) candidates stay in solution order.
+  struct Candidate {
+    std::uint64_t instance;
+    std::uint32_t dst_site;
+    double demand;
+    const topo::Tunnel* tunnel;
   };
-  std::unordered_map<std::uint64_t,
-                     std::unordered_map<std::uint32_t, Picked>>
-      tables;
+  std::vector<Candidate> candidates;
   for (const auto& [pair, alloc] : sol.pairs) {
     if (alloc.flow_tunnel.empty()) continue;
     auto it = problem.traffic->pairs().find(pair);
@@ -108,53 +128,75 @@ Version Controller::publish_solution(const te::TeProblem& problem,
          i < flows.size() && i < alloc.flow_tunnel.size(); ++i) {
       const std::int32_t t = alloc.flow_tunnel[i];
       if (t < 0 || static_cast<std::size_t>(t) >= tunnels.size()) continue;
-      Picked& slot = tables[flows[i].src][pair.dst];
-      if (flows[i].demand_gbps <= slot.demand) continue;
-      slot.demand = flows[i].demand_gbps;
-      slot.route.dst_site = pair.dst;
-      slot.route.hops.clear();
-      for (topo::EdgeId e : tunnels[t].links) {
-        slot.route.hops.push_back(problem.graph->link(e).dst);
-      }
+      candidates.push_back(Candidate{flows[i].src, pair.dst,
+                                     flows[i].demand_gbps, &tunnels[t]});
     }
   }
+  std::stable_sort(candidates.begin(), candidates.end(),
+                   [](const Candidate& a, const Candidate& b) {
+                     return a.instance != b.instance ? a.instance < b.instance
+                                                     : a.dst_site < b.dst_site;
+                   });
 
-  // Encode each instance's table canonically (sorted by destination
-  // site) so an unchanged table produces a byte-identical string and
-  // therefore no delta entry — unordered_map iteration order must not
-  // masquerade as churn.
-  std::unordered_map<std::uint64_t, std::string> fresh;
-  fresh.reserve(tables.size());
-  for (const auto& [instance, by_site] : tables) {
-    std::vector<RouteEntry> routes;
-    routes.reserve(by_site.size());
-    for (const auto& [site, picked] : by_site) {
-      routes.push_back(picked.route);
-    }
-    std::sort(routes.begin(), routes.end(),
-              [](const RouteEntry& a, const RouteEntry& b) {
-                return a.dst_site < b.dst_site;
-              });
-    fresh.emplace(instance, encode_routes(routes));
-  }
-
+  // One pass over the instances: encode each table, diff it against
+  // live_ and update live_ in place.
   KvDelta delta;
-  for (const auto& [instance, encoded] : fresh) {
-    auto it = live_.find(instance);
-    if (it != live_.end() && it->second == encoded) continue;  // unchanged
+  std::string encoded;
+  std::vector<std::uint32_t> hops;
+  std::vector<std::uint64_t> routed;  // ascending
+  for (std::size_t i = 0; i < candidates.size();) {
+    const std::uint64_t instance = candidates[i].instance;
+    routed.push_back(instance);
+    encoded.clear();
+    while (i < candidates.size() && candidates[i].instance == instance) {
+      // When several flows of the same (instance, destination site) land
+      // on different tunnels, the largest flow's tunnel wins — the
+      // instance-level pinning of §4.1; the first flow on a tie.
+      const std::uint32_t site = candidates[i].dst_site;
+      const Candidate* best = &candidates[i];
+      double best_demand = -1.0;
+      for (; i < candidates.size() && candidates[i].instance == instance &&
+             candidates[i].dst_site == site;
+           ++i) {
+        if (candidates[i].demand <= best_demand) continue;
+        best_demand = candidates[i].demand;
+        best = &candidates[i];
+      }
+      hops.clear();
+      for (topo::EdgeId e : best->tunnel->links) {
+        hops.push_back(problem.graph->link(e).dst);
+      }
+      if (!encoded.empty()) encoded.push_back('|');
+      append_route(encoded, site, hops);
+    }
+    auto [it, inserted] = live_.try_emplace(instance);
+    if (!inserted && it->second == encoded) continue;  // unchanged
+    it->second = encoded;
     delta.upserts.emplace_back(path_key(instance), encoded);
   }
-  for (const auto& [instance, encoded] : live_) {
-    if (fresh.find(instance) == fresh.end()) {
-      delta.erases.push_back(path_key(instance));
+
+  // Instances that lost every assigned flow: erased, in instance order.
+  // live_ now holds every routed instance, so only a surplus means any.
+  std::vector<std::uint64_t> gone;
+  if (live_.size() > routed.size()) {
+    for (auto it = live_.begin(); it != live_.end();) {
+      if (std::binary_search(routed.begin(), routed.end(), it->first)) {
+        ++it;
+      } else {
+        gone.push_back(it->first);
+        it = live_.erase(it);
+      }
     }
+    std::sort(gone.begin(), gone.end());
+  }
+  for (const std::uint64_t instance : gone) {
+    delta.erases.push_back(path_key(instance));
   }
   last_upserts_ = delta.upserts.size();
   last_erases_ = delta.erases.size();
   last_bytes_ = delta.bytes();
   published_ += delta.upserts.size();
   erased_ += delta.erases.size();
-  live_ = std::move(fresh);
   return db_->publish_delta(delta);
 }
 

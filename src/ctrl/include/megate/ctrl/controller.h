@@ -6,8 +6,10 @@
 //
 // Publishing is differential: the controller remembers the encoded table
 // it last wrote per instance and publishes only the entries that changed
-// (upserts) or disappeared (erases), so a publish costs O(churn) while
-// the store's structural sharing keeps the unchanged majority alive.
+// (upserts) or disappeared (erases), so the store write is O(churn) while
+// its structural sharing keeps the unchanged majority alive. Deriving the
+// delta is not: each publish re-derives, encodes and diffs every
+// instance's table in one flat pass over the solution's assigned flows.
 
 #include <cstdint>
 #include <memory>

@@ -13,11 +13,15 @@
 // per second using two shards" claim (bench/micro_kvstore compares it
 // against the mutex-per-shard design it replaced).
 //
-// Write path: copy-on-write deltas. publish/publish_delta clone only the
-// buckets the changed keys land in and share every other bucket with the
-// previous snapshot, so a publish costs O(churn), not O(table). Old
-// snapshots are retired through the epoch domain and freed once no
-// reader can still hold them.
+// Write path: copy-on-write deltas. publish/publish_delta clone each
+// bucket the delta touches once, on its first write, and share every
+// other bucket with the previous snapshot: O(delta) key work plus one
+// copy of the shard's bucket-pointer array, not O(table). A delta whose
+// new keys would push a shard past its load factor is sized first — the
+// base is rehashed once into the final bucket count and the delta
+// applied into it — so even a cold publish of the whole table is linear
+// in its keys. Old snapshots are retired through the epoch domain and
+// freed once no reader can still hold them.
 //
 // Consistency: every publish tags the snapshots it installs with the new
 // version *before* bumping the global version counter. A single read

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <functional>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace megate::ctrl {
 namespace {
@@ -93,24 +92,34 @@ void KvStore::install_locked(Shard& shard,
 
 std::shared_ptr<const KvStore::Snapshot> KvStore::apply_ops(
     const Snapshot& base, const std::vector<Op>& ops, Version version) {
-  auto next = std::make_shared<Snapshot>(base);  // shares all buckets
-  next->version = version;
-
-  // Clone each touched bucket once; apply ops in order so the last write
-  // of a key wins (redo-log replay relies on this).
-  std::unordered_map<std::size_t, std::shared_ptr<Bucket>> touched;
-  const auto writable = [&](std::size_t idx) -> Bucket& {
-    auto it = touched.find(idx);
-    if (it == touched.end()) {
-      it = touched
-               .emplace(idx, std::make_shared<Bucket>(*next->buckets[idx]))
-               .first;
+  // Size the table before applying: when the upserts that add a key
+  // would push the shard past its load factor, the base is rehashed once
+  // into the final bucket count and the ops applied into it, so no chain
+  // grows past the load factor mid-publish. A delta that only rewrites or
+  // erases existing keys never rebuilds. Erases are not subtracted and a
+  // new key written twice (redo replay) counts twice, so the estimate may
+  // be high, never low.
+  const std::size_t limit = (base.mask + 1) * kGrowLoad;
+  std::size_t keys = base.keys;
+  for (const Op& op : ops) keys += op.value != nullptr;
+  if (keys > limit) {  // could grow: count only the upserts adding a key
+    keys = base.keys;
+    for (const Op& op : ops) {
+      if (op.value == nullptr) continue;
+      const Bucket& b = *base.buckets[mix64(op.hash) & base.mask];
+      keys += std::none_of(
+          b.entries.begin(), b.entries.end(),
+          [&](const auto& e) { return e.first == *op.key; });
     }
-    return *it->second;
-  };
-  for (const Op& op : ops) {
-    const std::size_t idx = mix64(op.hash) & next->mask;
-    Bucket& b = writable(idx);
+  }
+
+  auto next = std::make_shared<Snapshot>();
+  next->version = version;
+  next->keys = base.keys;
+  next->bytes = base.bytes;
+  // Ops apply in arrival order, so the last write of a key wins (redo-log
+  // replay relies on this).
+  const auto apply = [&](Bucket& b, const Op& op) {
     auto ent = std::find_if(
         b.entries.begin(), b.entries.end(),
         [&](const auto& e) { return e.first == *op.key; });
@@ -129,33 +138,42 @@ std::shared_ptr<const KvStore::Snapshot> KvStore::apply_ops(
       ++next->keys;
       b.entries.emplace_back(*op.key, *op.value);
     }
+  };
+
+  if (keys <= limit) {
+    // Share every bucket; clone each touched one on its first write.
+    next->mask = base.mask;
+    next->buckets = base.buckets;
+    std::vector<Bucket*> writable(base.buckets.size(), nullptr);
+    for (const Op& op : ops) {
+      const std::size_t idx = mix64(op.hash) & next->mask;
+      if (writable[idx] == nullptr) {
+        auto b = std::make_shared<Bucket>(*next->buckets[idx]);
+        writable[idx] = b.get();
+        next->buckets[idx] = std::move(b);
+      }
+      apply(*writable[idx], op);
+    }
+    return next;
   }
-  for (auto& [idx, bucket] : touched) next->buckets[idx] = std::move(bucket);
 
-  if (next->keys <= (next->mask + 1) * kGrowLoad) return next;
-
-  // Load factor exceeded: rehash into a grown table (grow-only; the TE
-  // table never shrinks enough for the churn to pay off).
-  auto grown = std::make_shared<Snapshot>();
-  grown->version = version;
-  grown->keys = next->keys;
-  grown->bytes = next->bytes;
-  const std::size_t nb =
-      next_pow2(std::max(kMinBuckets, next->keys / kTargetLoad));
-  grown->mask = nb - 1;
+  // Growth: rehash the base into the final table, then apply the ops
+  // (grow-only; the TE table never shrinks enough for it to pay off).
+  const std::size_t nb = next_pow2(std::max(kMinBuckets, keys / kTargetLoad));
+  next->mask = nb - 1;
   std::vector<Bucket> tmp(nb);
-  for (const auto& bucket : next->buckets) {
+  for (const auto& bucket : base.buckets) {
     for (const auto& entry : bucket->entries) {
-      tmp[mix64(key_hash(entry.first)) & grown->mask].entries.push_back(
-          entry);
+      tmp[mix64(key_hash(entry.first)) & next->mask].entries.push_back(entry);
     }
   }
-  grown->buckets.reserve(nb);
+  for (const Op& op : ops) apply(tmp[mix64(op.hash) & next->mask], op);
+  next->buckets.reserve(nb);
   for (Bucket& b : tmp) {
-    grown->buckets.push_back(std::make_shared<Bucket>(std::move(b)));
+    next->buckets.push_back(std::make_shared<Bucket>(std::move(b)));
   }
   snapshot_rebuilds_.fetch_add(1, std::memory_order_relaxed);
-  return grown;
+  return next;
 }
 
 void KvStore::put(const std::string& key, std::string value) {

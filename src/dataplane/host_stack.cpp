@@ -209,7 +209,9 @@ HostStack::IngressResult HostStack::vtep_ingress(ConstBytes underlay_frame) {
       case DropReason::kBadVxlan: ++counters_.ingress_bad_vxlan; break;
       case DropReason::kBadSrHeader: ++counters_.ingress_bad_sr; break;
       case DropReason::kBadInner: ++counters_.ingress_bad_inner; break;
-      case DropReason::kNone: break;
+      case DropReason::kNone:
+      case DropReason::kSrTooLong:  // egress-only: tc_egress raises it
+        break;
     }
     return res;
   };

@@ -27,7 +27,9 @@ struct SrHeader {
   std::size_t wire_size() const noexcept {
     return kSrFixedSize + hops.size() * 4;
   }
-  bool at_last_hop() const noexcept { return offset + 1 >= hops.size(); }
+  bool at_last_hop() const noexcept {
+    return std::size_t{offset} + 1 >= hops.size();
+  }
   std::uint32_t next_hop() const { return hops[offset]; }
 
   /// Serializes the header, appending to `out`. Returns false — leaving

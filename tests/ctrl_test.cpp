@@ -5,14 +5,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
 #include <thread>
+#include <unordered_map>
 
 #include "megate/ctrl/agent.h"
 #include "megate/ctrl/connection_manager.h"
 #include "megate/ctrl/controller.h"
 #include "megate/ctrl/kvstore.h"
 #include "megate/ctrl/sync_model.h"
+#include "megate/ctrl/transport.h"
 #include "megate/te/megate_solver.h"
+#include "megate/tm/traffic.h"
 #include "megate/util/stats.h"
 #include "test_helpers.h"
 
@@ -154,6 +159,200 @@ TEST(Controller, PublishSolutionWritesPerSourceInstance) {
     }
   }
   EXPECT_GT(verified, 0u);
+}
+
+// --- publish_solution parity -------------------------------------------------
+
+// The nested-table publish algorithm the flat single pass replaced, kept
+// as the reference: per-instance hash tables of picked routes, a sorted
+// per-instance encode, then a diff against the previous interval's
+// encoded tables (`live`, updated in place).
+KvDelta reference_publish(const te::TeProblem& problem,
+                          const te::TeSolution& sol,
+                          std::unordered_map<std::uint64_t, std::string>& live) {
+  struct Picked {
+    double demand = -1.0;
+    RouteEntry route;
+  };
+  std::unordered_map<std::uint64_t,
+                     std::unordered_map<std::uint32_t, Picked>>
+      tables;
+  for (const auto& [pair, alloc] : sol.pairs) {
+    if (alloc.flow_tunnel.empty()) continue;
+    auto it = problem.traffic->pairs().find(pair);
+    if (it == problem.traffic->pairs().end()) continue;
+    const auto& flows = it->second;
+    const auto& tunnels = problem.tunnels->tunnels(pair.src, pair.dst);
+    for (std::size_t i = 0;
+         i < flows.size() && i < alloc.flow_tunnel.size(); ++i) {
+      const std::int32_t t = alloc.flow_tunnel[i];
+      if (t < 0 || static_cast<std::size_t>(t) >= tunnels.size()) continue;
+      Picked& slot = tables[flows[i].src][pair.dst];
+      if (flows[i].demand_gbps <= slot.demand) continue;
+      slot.demand = flows[i].demand_gbps;
+      slot.route.dst_site = pair.dst;
+      slot.route.hops.clear();
+      for (topo::EdgeId e : tunnels[t].links) {
+        slot.route.hops.push_back(problem.graph->link(e).dst);
+      }
+    }
+  }
+  std::unordered_map<std::uint64_t, std::string> fresh;
+  for (const auto& [instance, by_site] : tables) {
+    std::vector<RouteEntry> routes;
+    for (const auto& [site, picked] : by_site) routes.push_back(picked.route);
+    std::sort(routes.begin(), routes.end(),
+              [](const RouteEntry& a, const RouteEntry& b) {
+                return a.dst_site < b.dst_site;
+              });
+    fresh.emplace(instance, encode_routes(routes));
+  }
+  KvDelta delta;
+  for (const auto& [instance, encoded] : fresh) {
+    auto it = live.find(instance);
+    if (it != live.end() && it->second == encoded) continue;
+    delta.upserts.emplace_back(path_key(instance), encoded);
+  }
+  for (const auto& [instance, encoded] : live) {
+    if (fresh.find(instance) == fresh.end()) {
+      delta.erases.push_back(path_key(instance));
+    }
+  }
+  live = std::move(fresh);
+  return delta;
+}
+
+/// An in-process transport that also keeps the last published delta.
+class RecordingTransport final : public KvTransport {
+ public:
+  Version version() override { return inner_.version(); }
+  GetResult get(const std::string& key) override { return inner_.get(key); }
+  MultiGetResult multi_get(const std::vector<std::string>& keys) override {
+    return inner_.multi_get(keys);
+  }
+  Version publish(
+      const std::vector<std::pair<std::string, std::string>>& batch) override {
+    return inner_.publish(batch);
+  }
+  Version publish_delta(const KvDelta& delta) override {
+    last = delta;
+    return inner_.publish_delta(delta);
+  }
+  void put(const std::string& key, std::string value) override {
+    inner_.put(key, std::move(value));
+  }
+  std::size_t num_shards() const override { return inner_.num_shards(); }
+  std::size_t shard_index(const std::string& key) const override {
+    return inner_.shard_index(key);
+  }
+  void set_shard_up(std::size_t shard, bool up) override {
+    inner_.set_shard_up(shard, up);
+  }
+  bool shard_up(std::size_t shard) const override {
+    return inner_.shard_up(shard);
+  }
+  const char* name() const noexcept override { return "recording"; }
+
+  KvStore store{2};
+  KvDelta last;
+
+ private:
+  InProcessTransport inner_{&store};
+};
+
+std::map<std::string, std::string> upsert_set(const KvDelta& d) {
+  return {d.upserts.begin(), d.upserts.end()};
+}
+std::set<std::string> erase_set(const KvDelta& d) {
+  return {d.erases.begin(), d.erases.end()};
+}
+
+TEST(Controller, PublishSolutionMatchesReferenceAcrossChurn) {
+  std::size_t erases = 0;
+  std::size_t unchanged_intervals = 0;
+  for (const std::uint64_t seed : {3u, 11u, 29u}) {
+    auto s = megate::testing::make_scenario(8, 14, 12, 0.2, seed);
+    const tm::EndpointLayout layout(
+        std::vector<std::uint32_t>(s->graph.num_nodes(), 12));
+    tm::TrafficOptions topts;
+    topts.flows_per_endpoint = 1.5;
+    topts.target_total_gbps = tm::total_link_capacity_gbps(s->graph) * 0.2;
+    RecordingTransport db;
+    Controller ctrl(&db);
+    std::unordered_map<std::uint64_t, std::string> ref_live;
+    te::MegaTeSolver solver;
+    // Matrix seeds per interval: a repeat (empty delta), fresh matrices
+    // (instances appear and vanish) and a return to an earlier one.
+    for (const std::uint64_t tm_seed :
+         {seed, seed, seed + 1, seed + 2, seed + 1}) {
+      s->traffic = tm::generate_traffic(s->graph, layout, topts, tm_seed);
+      const te::TeSolution sol = solver.solve(s->problem(), {}).solution;
+      ctrl.publish_solution(s->problem(), sol);
+      const KvDelta ref = reference_publish(s->problem(), sol, ref_live);
+      // Same keys, byte-identical values, same erases; the order within
+      // a delta is not part of the contract.
+      EXPECT_EQ(upsert_set(db.last), upsert_set(ref));
+      EXPECT_EQ(erase_set(db.last), erase_set(ref));
+      EXPECT_EQ(db.last.upserts.size(), ref.upserts.size());
+      EXPECT_EQ(db.last.erases.size(), ref.erases.size());
+      EXPECT_EQ(ctrl.last_publish_upserts(), ref.upserts.size());
+      EXPECT_EQ(ctrl.last_publish_erases(), ref.erases.size());
+      EXPECT_EQ(ctrl.last_publish_bytes(), ref.bytes());
+      erases += ref.erases.size();
+      if (ref.empty()) ++unchanged_intervals;
+    }
+    // The store holds exactly the reference's tables.
+    EXPECT_EQ(db.store.size(), ref_live.size());
+    std::uint64_t full_bytes = 0;
+    for (const auto& [instance, encoded] : ref_live) {
+      EXPECT_EQ(db.store.try_get(path_key(instance)).value, encoded);
+      full_bytes += path_key(instance).size() + encoded.size();
+    }
+    EXPECT_EQ(ctrl.full_table_bytes(), full_bytes);
+  }
+  EXPECT_GT(erases, 0u) << "churn must exercise the erase path";
+  EXPECT_GT(unchanged_intervals, 0u) << "a repeated matrix publishes nothing";
+}
+
+TEST(Controller, PublishSolutionEqualDemandTieKeepsFirstFlow) {
+  // Two tunnels 0 -> 2: direct, and via site 1.
+  topo::Graph g;
+  for (const char* name : {"a", "b", "c"}) g.add_node(name);
+  const topo::EdgeId direct = g.add_link(0, 2, 10.0, 1.0);
+  const topo::EdgeId hop1 = g.add_link(0, 1, 10.0, 1.0);
+  const topo::EdgeId hop2 = g.add_link(1, 2, 10.0, 1.0);
+  topo::TunnelSet tunnels;
+  topo::Tunnel t0, t1;
+  t0.links = {direct};
+  t1.links = {hop1, hop2};
+  tunnels.set_tunnels(0, 2, {t0, t1});
+
+  const std::uint64_t inst = tm::make_endpoint(0, 1);
+  const std::uint64_t other = tm::make_endpoint(0, 2);
+  tm::TrafficMatrix traffic;
+  // `inst` has three flows to site 2: two tied at 4 Gbps (the first on
+  // the via-1 tunnel), one smaller. `other`: a tie, then a larger flow.
+  traffic.add({inst, tm::make_endpoint(2, 0), 4.0});
+  traffic.add({inst, tm::make_endpoint(2, 1), 4.0});
+  traffic.add({inst, tm::make_endpoint(2, 2), 1.0});
+  traffic.add({other, tm::make_endpoint(2, 0), 2.0});
+  traffic.add({other, tm::make_endpoint(2, 1), 2.0});
+  traffic.add({other, tm::make_endpoint(2, 2), 3.0});
+  te::TeProblem problem;
+  problem.graph = &g;
+  problem.tunnels = &tunnels;
+  problem.traffic = &traffic;
+  te::TeSolution sol;
+  sol.pairs[topo::SitePair{0, 2}].flow_tunnel = {1, 0, 0, 0, 1, 1};
+
+  RecordingTransport db;
+  Controller ctrl(&db);
+  ctrl.publish_solution(problem, sol);
+  EXPECT_EQ(db.store.try_get(path_key(inst)).value, "2:1,2");
+  EXPECT_EQ(db.store.try_get(path_key(other)).value, "2:1,2");
+  std::unordered_map<std::uint64_t, std::string> ref_live;
+  EXPECT_EQ(upsert_set(db.last),
+            upsert_set(reference_publish(problem, sol, ref_live)));
 }
 
 // --- endpoint agent ---------------------------------------------------------

@@ -12,6 +12,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <map>
+#include <random>
 #include <string>
 #include <thread>
 #include <utility>
@@ -140,6 +142,34 @@ TEST(KvSnapshotTest, SmallDeltaDoesNotRebuildStableTable) {
   kv.publish_delta(delta);
   EXPECT_EQ(kv.snapshot_rebuilds(), rebuilds);
   EXPECT_EQ(kv.snapshot_installs(), installs + 1);
+}
+
+TEST(KvSnapshotTest, RewritingEveryKeyDoesNotRebuild) {
+  KvStore kv(1);
+  // 256 keys settle the table at 256 buckets (growth past 512 keys);
+  // 200 more fill it to 456 without growing.
+  std::vector<std::pair<std::string, std::string>> batch;
+  for (int i = 0; i < 256; ++i) {
+    batch.emplace_back("key/" + std::to_string(i), "*:1,2,3");
+  }
+  kv.publish(batch);
+  batch.clear();
+  for (int i = 256; i < 456; ++i) {
+    batch.emplace_back("key/" + std::to_string(i), "*:1,2,3");
+  }
+  kv.publish(batch);
+  const std::uint64_t rebuilds = kv.snapshot_rebuilds();
+
+  // Table plus delta exceed the growth threshold, but no upsert adds a
+  // key: the sizing pass finds none and the bucket array stays.
+  KvDelta delta;
+  for (int i = 0; i < 456; ++i) {
+    delta.upserts.emplace_back("key/" + std::to_string(i), "*:4,5,6,7");
+  }
+  kv.publish_delta(delta);
+  EXPECT_EQ(kv.snapshot_rebuilds(), rebuilds);
+  EXPECT_EQ(kv.size(), 456u);
+  EXPECT_EQ(kv.try_get("key/455").value, "*:4,5,6,7");
 }
 
 TEST(KvSnapshotTest, GrowthTriggersRebuild) {
@@ -311,6 +341,204 @@ TEST(KvSnapshotTest, ResetToRevivesDownShardWithoutRedoReplay) {
   EXPECT_EQ(kv.try_get("a").value, "2");
   EXPECT_EQ(kv.try_get("b").value, "9");
   EXPECT_EQ(kv.redo_replayed(), 0u);
+}
+
+// --- property: random op sequences vs a std::map oracle --------------------
+
+/// The contents the store must converge to: every write applied in
+/// arrival order (a publish's upserts, then its erases), writes to a
+/// down shard included — recovery replays them — except erase(), which
+/// a down shard refuses.
+struct KvOracle {
+  std::map<std::string, std::string> kv;
+
+  void publish(const KvDelta& d) {
+    for (const auto& [k, v] : d.upserts) kv[k] = v;
+    for (const std::string& k : d.erases) kv.erase(k);
+  }
+  void reset(const KvDelta& snapshot) {
+    kv.clear();
+    publish(snapshot);
+  }
+};
+
+/// Every oracle key reads back (or is unavailable on a down shard), the
+/// probed absent keys miss, and with all shards up the size and payload
+/// bytes agree too.
+void expect_matches_oracle(const KvStore& kv, const KvOracle& oracle,
+                           const std::vector<std::string>& probes) {
+  bool all_up = true;
+  for (std::size_t i = 0; i < kv.num_shards(); ++i) {
+    all_up = all_up && kv.shard_up(i);
+  }
+  if (all_up) {
+    ASSERT_EQ(kv.size(), oracle.kv.size());
+    std::size_t bytes = 0;
+    for (const auto& [k, v] : oracle.kv) bytes += k.size() + v.size();
+    ASSERT_EQ(kv.payload_bytes(), bytes);
+  }
+  for (const auto& [k, v] : oracle.kv) {
+    const GetResult r = kv.try_get(k);
+    if (!kv.shard_up(kv.shard_index(k))) {
+      ASSERT_EQ(r.status, GetStatus::kUnavailable) << k;
+      continue;
+    }
+    ASSERT_TRUE(r.ok()) << k;
+    ASSERT_EQ(r.value, v) << k;
+  }
+  const MultiGetResult batch = kv.multi_get(probes);
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    const GetResult& r = batch.entries[i];
+    if (!kv.shard_up(kv.shard_index(probes[i]))) {
+      ASSERT_EQ(r.status, GetStatus::kUnavailable) << probes[i];
+      continue;
+    }
+    const auto it = oracle.kv.find(probes[i]);
+    if (it == oracle.kv.end()) {
+      ASSERT_EQ(r.status, GetStatus::kMiss) << probes[i];
+    } else {
+      ASSERT_TRUE(r.ok()) << probes[i];
+      ASSERT_EQ(r.value, it->second) << probes[i];
+    }
+  }
+}
+
+/// A random delta over keys "k<0..universe)": repeated upserts of one
+/// key (the last wins), erases of present and absent keys, values of
+/// varying length including empty.
+KvDelta random_delta(std::mt19937_64& rng, std::size_t universe,
+                     std::size_t upserts, std::size_t erases) {
+  std::uniform_int_distribution<std::size_t> key(0, universe - 1);
+  std::uniform_int_distribution<int> len(0, 12);
+  KvDelta d;
+  for (std::size_t i = 0; i < upserts; ++i) {
+    d.upserts.emplace_back("k" + std::to_string(key(rng)),
+                           std::string(static_cast<std::size_t>(len(rng)),
+                                       static_cast<char>('a' + i % 26)));
+  }
+  for (std::size_t i = 0; i < erases; ++i) {
+    d.erases.push_back("k" + std::to_string(key(rng)));
+  }
+  return d;
+}
+
+TEST(KvSnapshotTest, RandomOpsMatchMapOracle) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    std::mt19937_64 rng(seed);
+    const std::size_t shards = 1 + seed % 3;
+    const std::size_t universe = seed <= 2 ? 64 : seed <= 4 ? 2000 : 20000;
+    KvStore kv(shards);
+    KvOracle oracle;
+    std::vector<std::string> probes;
+    for (std::size_t i = 0; i < 64; ++i) {
+      probes.push_back("k" + std::to_string(rng() % (universe + 16)));
+    }
+    std::uniform_int_distribution<std::size_t> upto(0, universe / 2);
+    for (int step = 0; step < 60; ++step) {
+      const std::size_t shard = rng() % shards;
+      switch (rng() % 8) {
+        case 0:
+        case 1:
+        case 2: {  // versioned delta
+          const KvDelta d = random_delta(rng, universe, upto(rng), upto(rng) / 4);
+          kv.publish_delta(d);
+          oracle.publish(d);
+          break;
+        }
+        case 3: {  // unversioned put
+          const std::string k = "k" + std::to_string(rng() % universe);
+          const std::string v = "put" + std::to_string(step);
+          kv.put(k, v);
+          oracle.kv[k] = v;
+          break;
+        }
+        case 4: {  // unversioned erase: refused by a down shard
+          const std::string k = "k" + std::to_string(rng() % universe);
+          const bool up = kv.shard_up(kv.shard_index(k));
+          const bool present = oracle.kv.count(k) != 0;
+          EXPECT_EQ(kv.erase(k), up && present) << k;
+          if (up) oracle.kv.erase(k);
+          break;
+        }
+        case 5:  // shard down: later writes buffer into its redo log
+          kv.set_shard_up(shard, false);
+          break;
+        case 6:  // recovery replays the redo log in one apply
+          kv.set_shard_up(shard, true);
+          break;
+        case 7: {  // snapshot resync replaces everything
+          const KvDelta snap = random_delta(rng, universe, upto(rng), 0);
+          kv.reset_to(snap, kv.version() + 1 + rng() % 3);
+          oracle.reset(snap);
+          break;
+        }
+      }
+      ASSERT_NO_FATAL_FAILURE(expect_matches_oracle(kv, oracle, probes))
+          << "seed " << seed << " step " << step;
+    }
+    for (std::size_t i = 0; i < shards; ++i) kv.set_shard_up(i, true);
+    ASSERT_NO_FATAL_FAILURE(expect_matches_oracle(kv, oracle, probes))
+        << "seed " << seed << " after recovery";
+  }
+}
+
+TEST(KvSnapshotTest, PublishesCrossingGrowthThresholdsRehashOnce) {
+  constexpr std::size_t kUniverse = 100000;
+  std::mt19937_64 rng(7);
+  KvStore kv(2);
+  KvOracle oracle;
+  std::vector<std::string> probes;
+  for (std::size_t i = 0; i < 256; ++i) {
+    probes.push_back("k" + std::to_string(rng() % (kUniverse + 1000)));
+  }
+
+  // Cold publish of ~95k distinct keys (~5% of the writes repeat a key)
+  // into 8-bucket shards: many doublings' worth of growth, one rehash
+  // per shard.
+  KvDelta cold;
+  for (std::size_t i = 0; i < kUniverse; ++i) {
+    const std::size_t k = i % 20 == 19 ? rng() % i : i;
+    cold.upserts.emplace_back("k" + std::to_string(k),
+                              "v" + std::to_string(i));
+  }
+  kv.publish_delta(cold);
+  oracle.publish(cold);
+  EXPECT_EQ(kv.snapshot_rebuilds(), kv.num_shards());
+  ASSERT_NO_FATAL_FAILURE(expect_matches_oracle(kv, oracle, probes));
+
+  // A steady delta rewriting and erasing existing keys: no rehash.
+  std::uint64_t rebuilds = kv.snapshot_rebuilds();
+  const KvDelta steady = random_delta(rng, kUniverse / 2, 40000, 15000);
+  kv.publish_delta(steady);
+  oracle.publish(steady);
+  EXPECT_EQ(kv.snapshot_rebuilds(), rebuilds);
+  ASSERT_NO_FATAL_FAILURE(expect_matches_oracle(kv, oracle, probes));
+
+  // Redo replay: shard 0 misses three overlapping publishes of new keys
+  // that more than double its share, then replays them in one apply —
+  // one rehash, and the last write of each repeated key wins.
+  kv.set_shard_up(0, false);
+  for (std::size_t round = 0; round < 3; ++round) {
+    KvDelta d;
+    for (std::size_t j = 0; j < 100000; ++j) {
+      d.upserts.emplace_back("k" + std::to_string(kUniverse + round * 80000 + j),
+                             "r" + std::to_string(round));
+    }
+    kv.publish_delta(d);
+    oracle.publish(d);
+  }
+  rebuilds = kv.snapshot_rebuilds();
+  kv.set_shard_up(0, true);
+  EXPECT_EQ(kv.snapshot_rebuilds(), rebuilds + 1);
+  ASSERT_NO_FATAL_FAILURE(expect_matches_oracle(kv, oracle, probes));
+
+  // Snapshot resync into empty shards: one rehash each.
+  rebuilds = kv.snapshot_rebuilds();
+  const KvDelta snap = random_delta(rng, kUniverse, 80000, 0);
+  kv.reset_to(snap, kv.version() + 5);
+  oracle.reset(snap);
+  EXPECT_EQ(kv.snapshot_rebuilds(), rebuilds + kv.num_shards());
+  ASSERT_NO_FATAL_FAILURE(expect_matches_oracle(kv, oracle, probes));
 }
 
 // --- concurrency (run under TSan by ci.sh) ----------------------------------

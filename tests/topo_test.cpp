@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <set>
 #include <sstream>
 
@@ -223,6 +224,15 @@ struct TopoCase {
   std::size_t sites;
   std::size_t duplex_links;
 };
+
+// The default printer dumps a struct's raw bytes, padding included, so the
+// parameter text (which ctest uses as the test name) changed between runs.
+// Print the topology's name instead, letters and digits only.
+void PrintTo(const TopoCase& c, std::ostream* os) {
+  for (const char* p = to_string(c.kind); *p != '\0'; ++p) {
+    if (std::isalnum(static_cast<unsigned char>(*p))) *os << *p;
+  }
+}
 
 class GeneratorSuite : public ::testing::TestWithParam<TopoCase> {};
 
