@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point. Three stages:
 #
-#   1. default build  + the full ctest suite
+#   1. default build (-Werror: the build must stay warning-clean) + the
+#      full ctest suite
 #   2. ASan+UBSan build of megate_tests, running the fault-injection,
 #      property, differential and thread-pool suites
 #   3. TSan build, running the concurrency-sensitive suites (KvStore,
@@ -30,7 +31,8 @@ trap cleanup_daemons EXIT
 SANITIZED_TIMEOUT="${SANITIZED_TIMEOUT:-1200}"
 
 run_default() {
-  cmake -S . -B build -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+  cmake -S . -B build -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS=-Werror >/dev/null
   cmake --build build -j"$JOBS"
   ctest --test-dir build --output-on-failure
   run_metrics_json_check
@@ -88,9 +90,8 @@ run_metrics_json_check() {
     ../bench/ablation_prediction >/dev/null &&
     ../bench/micro_kvstore --benchmark_filter=skip_all >/dev/null 2>&1)
   # check_metrics_json additionally enforces the per-bench contracts
-  # (stage-1 thread sweep, tunnel-selection hop-budget frontier, online
-  # churn regret/violation bars, learned-allocation frontier speedup/
-  # quality/audit bars).
+  # (tunnel-selection hop-budget frontier, online churn regret/violation
+  # bars, learned-allocation frontier speedup/quality/audit bars).
   ./build/tools/check_metrics_json "$out"/*.json
 }
 
@@ -136,13 +137,11 @@ ASAN_FILTER+=':EventLoopTest.*:ServerChannelTest.*:BackoffTest.*'
 ASAN_FILTER+=':TcpTransportTest.*:NetctrlProcessTest.*'
 ASAN_FILTER+=':ChaosTransportParityTest.*:TransportDifferentialTest.*'
 ASAN_FILTER+=':NetctrlAcceptanceTest.*'
-# Data-parallel stage-1 packing (tests/stage1_parallel_test.cpp,
-# tests/lp_test.cpp): the batched solver indexes a hand-built SoA arena
-# with raw pointer kernels and shards tiles across the pool — off-by-one
-# tile bounds and arena lifetime bugs are ASan territory, and the
-# 100-seed differential suite drives every code path.
-ASAN_FILTER+=':Stage1Differential.*:Stage1Parallel.*'
-ASAN_FILTER+=':Packing.*:PackingInvariants.*'
+# Stage-1 packing (tests/stage1_golden_test.cpp, tests/lp_test.cpp): the
+# solver walks a hand-built CSR copy of the model through raw pointers —
+# off-by-one column bounds are ASan territory, and the 100-seed golden
+# suite drives every code path, degenerate columns included.
+ASAN_FILTER+=':Stage1Golden.*:Packing.*:PackingInvariants.*'
 # SR hop-budget planning (tests/tunnel_budget_test.cpp): the property
 # suite serializes every built tunnel through dataplane::SrHeader across
 # fuzzed seeds x budgets x both selection backends, and the centrality
@@ -193,11 +192,6 @@ TSAN_FILTER+=':ServerChannelTest.*:BackoffTest.*:TcpTransportTest.*'
 TSAN_FILTER+=':EventLoopTest.*:NetctrlProcessTest.*'
 TSAN_FILTER+=':ChaosTransportParityTest.*:TransportDifferentialTest.*'
 TSAN_FILTER+=':NetctrlAcceptanceTest.*'
-# Batched packing kernels on real pool workers: the tiled scoring and
-# clamp gathers run concurrently over shared arenas, and the differential
-# suite sweeps thread counts — any missed synchronization in the
-# tile-merge order shows up here as a data race.
-TSAN_FILTER+=':Stage1Differential.*:Stage1Parallel.*'
 # OnlineAllocator snapshots race apply() by design (publisher thread vs
 # event thread, serialized on the internal mutex) — the concurrency
 # suite drives exactly that interleaving.

@@ -25,9 +25,7 @@
 // churned truth.
 //
 // API note: there is one entry point, taking a mutable graph (faults
-// strike it in place and it is restored before returning). The const
-// overload is a thin compat shim for fault-free callers and throws when
-// options request graph mutation.
+// strike it in place and it is restored before returning).
 
 #include <cstdint>
 #include <string>
@@ -133,14 +131,6 @@ struct PeriodOutcome {
 /// returning.
 std::vector<PeriodOutcome> run_period_simulation(
     topo::Graph& graph, const topo::TunnelSet& tunnels,
-    const tm::TrafficMatrix& base, DemandKnowledge knowledge,
-    const PeriodSimOptions& options = {});
-
-/// Compat shim for const-graph callers: valid only for configurations
-/// that never mutate the graph (throws std::invalid_argument when
-/// options.link_faults is non-empty). Prefer the mutable overload.
-std::vector<PeriodOutcome> run_period_simulation(
-    const topo::Graph& graph, const topo::TunnelSet& tunnels,
     const tm::TrafficMatrix& base, DemandKnowledge knowledge,
     const PeriodSimOptions& options = {});
 

@@ -1,7 +1,6 @@
 #include "megate/sim/period_sim.h"
 
 #include <cmath>
-#include <stdexcept>
 #include <unordered_map>
 
 #include "megate/topo/failures.h"
@@ -105,21 +104,6 @@ const char* to_string(DemandKnowledge k) noexcept {
     case DemandKnowledge::kOracle: return "oracle";
   }
   return "?";
-}
-
-std::vector<PeriodOutcome> run_period_simulation(
-    const topo::Graph& graph, const topo::TunnelSet& tunnels,
-    const tm::TrafficMatrix& base, DemandKnowledge knowledge,
-    const PeriodSimOptions& options) {
-  if (!options.link_faults.empty()) {
-    throw std::invalid_argument(
-        "link_faults mutate the graph: the const-graph compat shim "
-        "cannot honour them — call run_period_simulation with a mutable "
-        "graph");
-  }
-  // No faults -> the graph is never mutated; share the implementation.
-  return run_period_simulation(const_cast<topo::Graph&>(graph), tunnels,
-                               base, knowledge, options);
 }
 
 std::vector<PeriodOutcome> run_period_simulation(

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 
 #include "megate/lp/packing.h"
@@ -18,7 +17,7 @@ SiteLpResult solve_max_site_flow(
         site_demands,
     const std::vector<double>& capacity_override, double epsilon,
     const SiteLpOptions& options, const lp::SimplexWarmState* warm,
-    lp::SimplexWarmState* warm_out, util::ThreadPool* pool) {
+    lp::SimplexWarmState* warm_out) {
   if (!capacity_override.empty() &&
       capacity_override.size() != g.num_links()) {
     throw std::invalid_argument(
@@ -105,11 +104,7 @@ SiteLpResult solve_max_site_flow(
   } else {
     lp::PackingOptions popt;
     popt.epsilon = options.packing_epsilon;
-    popt.threads = options.packing_threads;
-    lp::PackingSolver solver(popt);
-    lp_sol = options.backend == SiteLpOptions::Backend::kPackingReference
-                 ? solver.solve_reference(model)
-                 : solver.solve(model, pool);
+    lp_sol = lp::PackingSolver(popt).solve(model);
     if (warm_out != nullptr) warm_out->clear();
   }
 
@@ -139,14 +134,8 @@ SiteLpResult solve_max_site_flow_clustered(
     std::size_t threads, util::ThreadPool* pool) {
   if (clusters < 2) {
     return solve_max_site_flow(g, tunnels, site_demands, capacity_override,
-                               epsilon, options, nullptr, nullptr, pool);
+                               epsilon, options);
   }
-  // The buckets below run *on* the pool, so the nested packing solves must
-  // stay inline: handing them the same pool would deadlock (a pool task
-  // blocking on sibling tasks), and a transient pool per bucket would
-  // oversubscribe. Parallelism comes from the bucket fan-out instead.
-  SiteLpOptions bucket_options = options;
-  bucket_options.packing_threads = 1;
   const std::vector<std::uint32_t> cluster =
       topo::cluster_sites(g, clusters);
 
@@ -216,7 +205,7 @@ SiteLpResult solve_max_site_flow_clustered(
       }
     }
     partial[i] = solve_max_site_flow(g, tunnels, b.demands, caps, epsilon,
-                                     bucket_options);
+                                     options);
   });
 
   SiteLpResult merged;

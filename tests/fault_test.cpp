@@ -423,20 +423,6 @@ TEST(ChaosTest, FiftyIntervalAcceptanceRun) {
 
 // --- period_sim link faults -------------------------------------------------
 
-TEST(PeriodSimFaultTest, ConstShimRejectsFaults) {
-  auto s = testing::make_scenario(6, 9, 2);
-  sim::PeriodSimOptions opt;
-  opt.periods = 2;
-  opt.link_faults.push_back({.period = 0, .count = 1});
-  // The const-graph compat shim cannot mutate the graph, so fault
-  // configurations must be rejected; the mutable entry point takes them.
-  const topo::Graph& const_graph = s->graph;
-  EXPECT_THROW(sim::run_period_simulation(const_graph, s->tunnels,
-                                          s->traffic,
-                                          sim::DemandKnowledge::kOracle, opt),
-               std::invalid_argument);
-}
-
 TEST(PeriodSimFaultTest, FaultsDegradeThenGraphRestored) {
   auto s = testing::make_scenario(6, 9, 2);
   sim::PeriodSimOptions opt;

@@ -1,0 +1,251 @@
+// Golden digests pinning the stage-1 packing solver's outputs bit for bit.
+//
+// lp::PackingSolver::solve is one scalar Garg–Könemann loop. Downstream
+// state keys on its exact bits (the stage-2 memo hashes F_{k,t}; chaos
+// fingerprints hash routes), so "close" is not good enough: these digests
+// were recorded from the batched, thread-tiled solver this loop replaced
+// and must keep matching them exactly.
+//
+//   1. A 100-seed random packing-LP suite (degenerate features included:
+//      zero-capacity rows, non-positive profits, duplicate coefficients):
+//      status, iterations and the bits of the objective, the dual bound
+//      and every x.
+//   2. A 4-interval te::MegaTeSolver run on the packing backend, cold then
+//      incremental over evolving traffic: every bit of every TeSolution
+//      except the wall-clock solve time.
+//   3. The chaos fingerprint with stage 1 forced onto the packing backend.
+//
+// A mismatch means the solver's float operations changed. If that is
+// intended, re-record the constants and say why in CHANGES.md.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "megate/fault/chaos.h"
+#include "megate/lp/model.h"
+#include "megate/lp/packing.h"
+#include "megate/te/megate_solver.h"
+#include "megate/tm/traffic.h"
+#include "megate/util/rng.h"
+#include "test_helpers.h"
+
+namespace megate {
+namespace {
+
+/// FNV-1a over 64-bit words: order-sensitive and exact on double bits
+/// (distinguishes -0.0 from 0.0).
+class Digest {
+ public:
+  void add(std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h_ ^= (v >> (8 * b)) & 0xFFu;
+      h_ *= 0x100000001B3ULL;
+    }
+  }
+  void add(double d) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &d, sizeof(bits));
+    add(bits);
+  }
+  void add(const std::string& s) {
+    add(static_cast<std::uint64_t>(s.size()));
+    for (unsigned char c : s) add(static_cast<std::uint64_t>(c));
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xCBF29CE484222325ULL;
+};
+
+std::string hex(std::uint64_t v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+// --- 1. Random packing-LP suite ---------------------------------------------
+
+struct CaseConfig {
+  std::uint64_t seed = 0;
+  int rows = 0;
+  int cols = 0;
+  int max_entries = 0;  ///< nonzeros per column, 1..max
+  double epsilon = 0.1;
+  bool zero_cap_row = false;     ///< include a 0-rhs row some columns touch
+  bool neg_profit_cols = false;  ///< sprinkle non-positive-profit columns
+};
+
+CaseConfig random_case(std::uint64_t seed) {
+  util::Rng rng(seed * 0x9E3779B97F4A7C15ULL + 23);
+  CaseConfig c;
+  c.seed = seed;
+  c.rows = 2 + static_cast<int>(rng.uniform_int(0, 38));
+  c.cols = 1 + static_cast<int>(rng.uniform_int(0, 299));
+  c.max_entries = 1 + static_cast<int>(rng.uniform_int(0, 4));
+  const double eps_grid[] = {0.05, 0.07, 0.1, 0.2, 0.3};
+  c.epsilon = eps_grid[rng.uniform_int(0, 4)];
+  c.zero_cap_row = rng.uniform() < 0.25;
+  c.neg_profit_cols = rng.uniform() < 0.25;
+  return c;
+}
+
+lp::Model build_model(const CaseConfig& c) {
+  util::Rng rng(c.seed * 1000003ULL + 7);
+  lp::Model m;
+  std::vector<std::size_t> rows;
+  for (int i = 0; i < c.rows; ++i) {
+    rows.push_back(m.add_constraint(rng.uniform(1.0, 80.0)));
+  }
+  std::size_t dead_row = ~std::size_t{0};
+  if (c.zero_cap_row) dead_row = m.add_constraint(0.0);
+  for (int j = 0; j < c.cols; ++j) {
+    double profit = rng.uniform(0.2, 3.0);
+    if (c.neg_profit_cols && rng.uniform() < 0.15) {
+      profit = -profit;  // skipped by the solver, pins x_j = 0
+    }
+    const auto x = m.add_variable(profit);
+    const int k =
+        1 + static_cast<int>(rng.uniform_int(0, c.max_entries - 1));
+    for (int t = 0; t < k; ++t) {
+      // Duplicates accumulate in the model, covering the dedup path.
+      m.add_coefficient(rows[rng.uniform_int(0, rows.size() - 1)], x,
+                        rng.uniform(0.2, 2.0));
+    }
+    if (dead_row != ~std::size_t{0} && rng.uniform() < 0.1) {
+      m.add_coefficient(dead_row, x, 1.0);  // column becomes dead
+    }
+  }
+  return m;
+}
+
+void digest_solution(Digest& d, const lp::Solution& s, double dual_bound) {
+  d.add(static_cast<std::uint64_t>(s.status));
+  d.add(static_cast<std::uint64_t>(s.iterations));
+  d.add(s.objective);
+  d.add(dual_bound);
+  d.add(static_cast<std::uint64_t>(s.x.size()));
+  for (double v : s.x) d.add(v);
+}
+
+TEST(Stage1Golden, RandomPackingSuiteMatchesRecordedDigest) {
+  Digest all;
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    const CaseConfig c = random_case(seed);
+    lp::PackingOptions opt;
+    opt.epsilon = c.epsilon;
+    lp::PackingSolver solver(opt);
+    const lp::Solution s = solver.solve(build_model(c));
+    digest_solution(all, s, solver.last_dual_bound());
+  }
+  EXPECT_EQ(hex(all.value()), hex(0xf971d36664d02664ULL));
+}
+
+// --- 2. MegaTeSolver cold + incremental on the packing backend -------------
+
+/// Evolves a traffic matrix by one interval (seeded per flow, independent
+/// of container iteration order) — same idiom as incremental_test.cpp.
+tm::TrafficMatrix evolve_traffic(const tm::TrafficMatrix& prev, double churn,
+                                 std::uint64_t seed) {
+  tm::TrafficMatrix out;
+  for (const auto& [pair, flows] : prev.pairs()) {
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      tm::EndpointDemand d = flows[i];
+      util::Rng rng(seed ^ (d.src * 0x9E3779B97F4A7C15ULL) ^
+                    (d.dst * 0xBF58476D1CE4E5B9ULL) ^ i);
+      if (rng.uniform() < churn) {
+        d.demand_gbps *= 0.5 + rng.uniform();
+      }
+      out.add(d);
+    }
+  }
+  return out;
+}
+
+/// Every TeSolution field except the wall-clock solve_time_s, pairs in
+/// (src, dst) order so hash-map iteration order cannot leak in.
+void digest_te_solution(Digest& d, const te::TeSolution& sol) {
+  d.add(sol.solver_name);
+  d.add(sol.satisfied_gbps);
+  d.add(sol.total_demand_gbps);
+  d.add(static_cast<std::uint64_t>(sol.iterations));
+  d.add(static_cast<std::uint64_t>(sol.est_memory_bytes));
+  d.add(static_cast<std::uint64_t>(sol.solved));
+  std::vector<topo::SitePair> keys;
+  keys.reserve(sol.pairs.size());
+  for (const auto& [pair, alloc] : sol.pairs) keys.push_back(pair);
+  std::sort(keys.begin(), keys.end(), [](const auto& a, const auto& b) {
+    return a.src != b.src ? a.src < b.src : a.dst < b.dst;
+  });
+  d.add(static_cast<std::uint64_t>(keys.size()));
+  for (const topo::SitePair& k : keys) {
+    const te::PairAllocation& a = sol.pairs.at(k);
+    d.add(static_cast<std::uint64_t>(k.src));
+    d.add(static_cast<std::uint64_t>(k.dst));
+    d.add(static_cast<std::uint64_t>(a.tunnel_alloc.size()));
+    for (double v : a.tunnel_alloc) d.add(v);
+    d.add(static_cast<std::uint64_t>(a.flow_tunnel.size()));
+    for (std::int32_t t : a.flow_tunnel) {
+      d.add(static_cast<std::uint64_t>(static_cast<std::uint32_t>(t)));
+    }
+  }
+}
+
+TEST(Stage1Golden, MegaTeColdAndIncrementalMatchRecordedDigest) {
+  // Stage 1 feeds the F_{k,t}-keyed stage-2 memo (incremental intervals),
+  // which only stays coherent because stage 1 is bit-deterministic.
+  auto s = testing::make_scenario(12, 20, 3, 0.3, 7);
+  te::MegaTeOptions opt;
+  opt.threads = 4;
+  opt.site_lp.backend = te::SiteLpOptions::Backend::kPacking;
+  te::MegaTeSolver solver(opt);
+
+  Digest all;
+  tm::TrafficMatrix current = s->traffic;
+  for (std::size_t interval = 0; interval < 4; ++interval) {
+    if (interval > 0) {
+      current = evolve_traffic(current, 0.15, 1000003ULL * interval + 5);
+    }
+    te::TeProblem problem = s->problem();
+    problem.traffic = &current;
+    te::SolveContext ctx;
+    ctx.incremental = interval > 0;
+    digest_te_solution(all, solver.solve(problem, ctx).solution);
+  }
+  EXPECT_EQ(hex(all.value()), hex(0x46a5757e1abcc625ULL));
+}
+
+// --- 3. Chaos fingerprint on the packing backend ---------------------------
+
+TEST(Stage1Golden, ChaosFingerprintOnPackingMatchesRecorded) {
+  fault::ChaosOptions o;
+  o.sites = 8;
+  o.duplex_links = 12;
+  o.endpoints_per_site = 2;
+  o.intervals = 8;
+  o.interval_s = 15.0;
+  o.poll_interval_s = 4.0;
+  o.kv_shards = 2;
+  o.plan.seed = 21;
+  o.plan.horizon_s = 0.0;  // auto-size to intervals * interval_s
+  o.plan.quiet_tail_s = 45.0;
+  o.plan.shard_crashes = 2;
+  o.plan.link_failures = 1;
+  o.plan.pull_drop_windows = 1;
+  o.plan.stale_windows = 1;
+  // Small chaos topologies would otherwise auto-pick the simplex.
+  o.site_lp.backend = te::SiteLpOptions::Backend::kPacking;
+  const fault::ChaosReport r = fault::run_chaos(o);
+  EXPECT_TRUE(r.ok()) << (r.violations.empty() ? "did not converge"
+                                               : r.violations.front());
+  EXPECT_EQ(hex(r.fingerprint), hex(0x16c194fb0937bd05ULL));
+}
+
+}  // namespace
+}  // namespace megate

@@ -251,7 +251,9 @@ TEST(CentralityBackend, TunnelsAreSortedDistinctAndCapped) {
     for (std::size_t i = 0; i < tunnels.size(); ++i) {
       expect_valid_tunnel(g, pair.src, pair.dst, tunnels[i], 0);
       EXPECT_TRUE(seen.insert(tunnels[i].links).second) << "duplicate";
-      if (i > 0) EXPECT_GE(tunnels[i].weight, tunnels[i - 1].weight);
+      if (i > 0) {
+        EXPECT_GE(tunnels[i].weight, tunnels[i - 1].weight);
+      }
     }
     if (!tunnels.empty()) {
       EXPECT_DOUBLE_EQ(tunnels.front().weight, 1.0);

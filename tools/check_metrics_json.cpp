@@ -20,68 +20,6 @@
 
 namespace {
 
-/// Contract check beyond the generic schema: BENCH_ablation_stage1.json
-/// must carry the full stage-1 packing thread sweep — per topology, the
-/// serial-reference time plus seconds/speedup at 1/2/4/8 threads, and
-/// the bit_identical gauge at exactly 1 (the batched solver's results
-/// matched the reference byte-for-byte at every thread count). Returns
-/// the violations found (empty == valid).
-std::vector<std::string> check_stage1_sweep(const megate::obs::Json& doc) {
-  std::vector<std::string> violations;
-  const auto* gauges = doc.find("gauges");
-  if (gauges == nullptr || !gauges->is_object()) {
-    violations.push_back("missing gauges object");
-    return violations;
-  }
-  auto gauge = [&](const std::string& name) {
-    const auto* g = gauges->find(name);
-    return (g != nullptr && g->is_number()) ? g : nullptr;
-  };
-  // Topologies are discovered from the reference gauge rather than
-  // hard-coded, so adding a topology to the bench cannot silently skip
-  // the sweep contract.
-  const std::string ref_suffix = ".packing.reference_seconds";
-  std::size_t topologies = 0;
-  for (const auto& [name, value] : gauges->members()) {
-    if (name.size() <= ref_suffix.size() ||
-        name.compare(name.size() - ref_suffix.size(), ref_suffix.size(),
-                     ref_suffix) != 0) {
-      continue;
-    }
-    ++topologies;
-    const std::string prefix =
-        name.substr(0, name.size() - ref_suffix.size()) + ".packing.";
-    if (!value.is_number() || value.as_number() <= 0.0) {
-      violations.push_back(name + " must be a positive number");
-    }
-    for (const char* t : {"1", "2", "4", "8"}) {
-      for (const char* field : {"seconds", "speedup"}) {
-        const std::string key =
-            prefix + "threads" + t + "." + field;
-        const auto* g = gauge(key);
-        if (g == nullptr) {
-          violations.push_back("missing gauge " + key);
-        } else if (g->as_number() <= 0.0) {
-          violations.push_back(key + " must be positive");
-        }
-      }
-    }
-    const std::string bk = prefix + "bit_identical";
-    const auto* bit = gauge(bk);
-    if (bit == nullptr) {
-      violations.push_back("missing gauge " + bk);
-    } else if (bit->as_number() != 1.0) {
-      violations.push_back(bk + " must be 1 (parallel results diverged "
-                                "from the serial reference)");
-    }
-  }
-  if (topologies == 0) {
-    violations.push_back("no <topo>.packing.reference_seconds gauges — "
-                         "stage-1 thread sweep missing");
-  }
-  return violations;
-}
-
 /// Contract check for BENCH_ablation_tunnels.json — the hop-budget
 /// tunnel-selection frontier. Configurations are discovered from the
 /// "<topo>.<backend>.budget<N>.tunnels" gauges. For every discovered
@@ -350,9 +288,7 @@ int main(int argc, char** argv) {
     auto violations = megate::obs::validate_metrics_json(*doc);
     const auto* source = doc->find("source");
     if (violations.empty() && source != nullptr && source->is_string()) {
-      if (source->as_string() == "bench/ablation_stage1") {
-        violations = check_stage1_sweep(*doc);
-      } else if (source->as_string() == "bench/ablation_tunnels") {
+      if (source->as_string() == "bench/ablation_tunnels") {
         violations = check_ablation_tunnels(*doc);
       } else if (source->as_string() == "bench/online_churn") {
         violations = check_online_churn(*doc);
