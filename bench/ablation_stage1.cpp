@@ -2,13 +2,53 @@
 // cluster-contracted first stage vs the joint site LP, on the two
 // many-site topologies where stage 1 dominates MegaTE's runtime
 // (Fig. 9 showed Cogentco* stage 1 at ~1.9 s vs ~0.02 s of stage 2).
+//
+// Each variant runs kRepeats times: its `*_seconds` gauge is the median
+// wall time and `*_seconds_iqr` the interquartile range, since one run of
+// the joint LP varies by ~1.4x on a shared 4-vCPU host.
 
+#include <algorithm>
 #include <iostream>
+#include <vector>
 
 #include "bench_common.h"
 #include "megate/te/megate_solver.h"
 #include "megate/te/site_lp.h"
 #include "megate/util/stopwatch.h"
+
+namespace {
+
+constexpr int kRepeats = 5;
+
+struct Spread {
+  double median = 0.0;
+  double iqr = 0.0;
+};
+
+/// Runs `solve` kRepeats times; returns the last result (the solvers are
+/// deterministic) and the median/IQR of the wall times in `spread`.
+template <class Solve>
+megate::te::SiteLpResult timed(Solve&& solve, Spread& spread) {
+  std::vector<double> secs;
+  megate::te::SiteLpResult result;
+  for (int r = 0; r < kRepeats; ++r) {
+    megate::util::Stopwatch sw;
+    result = solve();
+    secs.push_back(sw.elapsed_seconds());
+  }
+  std::sort(secs.begin(), secs.end());
+  // Quantile by linear interpolation between order statistics.
+  const auto quantile = [&secs](double f) {
+    const double pos = f * static_cast<double>(secs.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, secs.size() - 1);
+    return secs[lo] + (pos - static_cast<double>(lo)) * (secs[hi] - secs[lo]);
+  };
+  spread = {quantile(0.5), quantile(0.75) - quantile(0.25)};
+  return result;
+}
+
+}  // namespace
 
 int main() {
   using namespace megate;
@@ -26,27 +66,37 @@ int main() {
     auto demands = inst->traffic.site_demands();
 
     util::Table t(std::string("stage-1 variants on ") + topo::to_string(kind));
-    t.header({"variant", "LP objective", "time (s)", "sub-LPs"});
+    t.header({"variant", "LP objective", "median time (s)", "IQR (s)",
+              "sub-LPs"});
 
-    util::Stopwatch sw;
-    auto joint = te::solve_max_site_flow(inst->graph, inst->tunnels,
+    Spread joint_s;
+    auto joint = timed(
+        [&] {
+          return te::solve_max_site_flow(inst->graph, inst->tunnels,
                                          demands, {}, 0.02);
-    const double joint_s = sw.elapsed_seconds();
+        },
+        joint_s);
     t.add_row({"joint LP", util::Table::num(joint.objective, 1),
-               util::Table::num(joint_s, 2), "1"});
+               util::Table::num(joint_s.median, 2),
+               util::Table::num(joint_s.iqr, 2), "1"});
     const std::string topo_key =
         std::string("ablation_stage1.") + topo::to_string(kind) + ".";
-    report.metrics().gauge(topo_key + "joint_seconds").set(joint_s);
+    report.metrics().gauge(topo_key + "joint_seconds").set(joint_s.median);
+    report.metrics().gauge(topo_key + "joint_seconds_iqr").set(joint_s.iqr);
     report.metrics().gauge(topo_key + "joint_objective").set(joint.objective);
 
     for (std::size_t clusters : {2u, 4u, 8u}) {
-      sw.reset();
-      auto contracted = te::solve_max_site_flow_clustered(
-          inst->graph, inst->tunnels, demands, {}, 0.02, clusters);
-      const double s = sw.elapsed_seconds();
+      Spread s;
+      auto contracted = timed(
+          [&] {
+            return te::solve_max_site_flow_clustered(
+                inst->graph, inst->tunnels, demands, {}, 0.02, clusters);
+          },
+          s);
       const std::string ck =
           topo_key + "clusters" + std::to_string(clusters) + ".";
-      report.metrics().gauge(ck + "seconds").set(s);
+      report.metrics().gauge(ck + "seconds").set(s.median);
+      report.metrics().gauge(ck + "seconds_iqr").set(s.iqr);
       report.metrics().gauge(ck + "objective_ratio")
           .set(contracted.objective / std::max(1e-9, joint.objective));
       t.add_row({"contracted x" + std::to_string(clusters),
@@ -56,7 +106,7 @@ int main() {
                              std::max(1e-9, joint.objective),
                          1) +
                      "%)",
-                 util::Table::num(s, 2),
+                 util::Table::num(s.median, 2), util::Table::num(s.iqr, 2),
                  std::to_string(clusters * clusters) + " max"});
     }
     t.print(std::cout);

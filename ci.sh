@@ -142,6 +142,10 @@ ASAN_FILTER+=':NetctrlAcceptanceTest.*'
 # off-by-one column bounds are ASan territory, and the 100-seed golden
 # suite drives every code path, degenerate columns included.
 ASAN_FILTER+=':Stage1Golden.*:Packing.*:PackingInvariants.*'
+# The MegaTE solve path's golden (same file): cold, memoized and Solver-
+# interface calls at 1 and 4 threads through the one stage-2 pass, whose
+# memo replays index cached assignments by class position.
+ASAN_FILTER+=':SolvePathGolden.*'
 # SR hop-budget planning (tests/tunnel_budget_test.cpp): the property
 # suite serializes every built tunnel through dataplane::SrHeader across
 # fuzzed seeds x budgets x both selection backends, and the centrality
@@ -201,6 +205,11 @@ TSAN_FILTER+=':OnlineConcurrency.*'
 # the read accessors from a third thread, all serialized on the internal
 # mutex — plus the repair kernel's parallel phases on real pool workers.
 TSAN_FILTER+=':LearnedConcurrency.*:RepairKernel.*'
+# MegaTE stage 2: pool workers write their own pairs of the shared
+# solution map between the serial memo probe and insert loops, reading
+# memo entries the probe handed out (tests/stage1_golden_test.cpp,
+# tests/incremental_test.cpp).
+TSAN_FILTER+=':SolvePathGolden.*:IncrementalCacheTest.*'
 
 run_tsan() {
   cmake -S . -B build-tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo \

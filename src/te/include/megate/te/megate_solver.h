@@ -15,10 +15,10 @@
 //
 // Incremental solving (SolveContext::incremental): successive TE intervals
 // move only a fraction of the demand, so the solver retains per-interval
-// state —
-// pair demand fingerprints (tm::diff_traffic), a per-(pair, round) stage-2
-// memo (ssp::PairMemoCache) keyed by bitwise demand + F_{k,t} hashes, and
-// one lp::SimplexWarmState per QoS round. Any topology or capacity change
+// state — pair demand fingerprints (tm::diff_traffic), a per-(pair, round)
+// stage-2 memo (ssp::PairMemoCache) keyed by bitwise demand + F_{k,t}
+// hashes, and one lp::SimplexWarmState per QoS round. A cold solve is the
+// same pass sequence without any of them. Any topology or capacity change
 // (link up/down, derate, tunnel repair — i.e. every fault-injector event)
 // flips the topology fingerprint and drops all retained state. See
 // DESIGN.md "Incremental solving across intervals".
@@ -150,14 +150,16 @@ class MegaTeSolver final : public Solver {
 
   std::string name() const override { return "MegaTE"; }
 
-  /// Base-interface shim (baselines, PeriodSim's Solver* callers): a
-  /// cold solve returning the solution only.
+  /// The Solver adapter: `solve(problem, {}).solution`. Callers that
+  /// compare MegaTE with the baselines (fig09, fig10, failure_sim, the
+  /// property suite, megate_cli) drive every solver through the Solver
+  /// interface, and the baselines have no SolveContext.
   TeSolution solve(const TeProblem& problem) override;
 
-  /// The one solve entry point: runs cold or incremental per `ctx` and
-  /// returns the solution together with its stats/timings. No default
-  /// argument on `ctx` — it would make one-argument calls ambiguous
-  /// with the Solver::solve override above; pass `{}` for a cold solve.
+  /// The solve entry point: runs cold, incremental or learned per `ctx`
+  /// and returns the solution together with its stats/timings. No
+  /// default argument on `ctx` — it would make one-argument calls
+  /// ambiguous with the Solver adapter above; pass `{}` for a cold solve.
   SolveReport solve(const TeProblem& problem, const SolveContext& ctx);
 
   /// Drops all state retained for incremental solves (memo, warm bases,
@@ -181,7 +183,7 @@ class MegaTeSolver final : public Solver {
  private:
   SolveReport solve_learned(const TeProblem& problem,
                             const SolveContext& ctx);
-  /// State retained between solve_incremental calls.
+  /// State retained between incremental solves.
   struct IncrementalState {
     bool valid = false;
     std::uint64_t topo_fp = 0;          ///< links + tunnels + epsilon
@@ -190,18 +192,16 @@ class MegaTeSolver final : public Solver {
     ssp::PairMemoCache memo;
   };
 
-  TeSolution solve_impl(const TeProblem& problem, bool incremental);
-  TeSolution solve_incremental_impl(const TeProblem& problem,
-                                    const TeProblem* prev);
+  /// The exact two-stage solve. With `ctx.incremental` it reads and
+  /// refreshes inc_state_ (demand delta, stage-2 memo, warm bases);
+  /// without, it runs the same passes with none of them and leaves
+  /// inc_state_ untouched.
+  SolveReport solve_exact(const TeProblem& problem, const SolveContext& ctx);
 
   MegaTeOptions options_;
-  double stage1_s_ = 0.0;
-  double stage2_s_ = 0.0;
-  std::size_t hop_violations_ = 0;
   std::unique_ptr<util::ThreadPool> pool_;
   std::size_t pool_threads_ = 0;
   std::unique_ptr<LearnedAllocator> learned_;
-  IncrementalStats inc_stats_;
   IncrementalState inc_state_;
 };
 

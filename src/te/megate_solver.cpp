@@ -4,7 +4,6 @@
 #include <array>
 #include <chrono>
 #include <cstring>
-#include <numeric>
 #include <optional>
 #include <stdexcept>
 
@@ -15,22 +14,15 @@
 namespace megate::te {
 namespace {
 
-/// Flows of one pair and QoS class, by index into the pair's flow vector.
-struct ClassView {
-  std::vector<std::size_t> flow_ids;
+/// Demands of one pair's flows in QoS class `q` (every flow when `filter`
+/// is off), in flow order: the view stage 2 solves and the memo keys.
+std::vector<double> class_demands(const std::vector<tm::EndpointDemand>& flows,
+                                  tm::QosClass q, bool filter) {
   std::vector<double> demands;
-};
-
-ClassView class_view(const std::vector<tm::EndpointDemand>& flows,
-                     tm::QosClass q, bool filter) {
-  ClassView view;
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    if (!filter || flows[i].qos == q) {
-      view.flow_ids.push_back(i);
-      view.demands.push_back(flows[i].demand_gbps);
-    }
+  for (const tm::EndpointDemand& f : flows) {
+    if (!filter || f.qos == q) demands.push_back(f.demand_gbps);
   }
-  return view;
+  return demands;
 }
 
 inline std::uint64_t fnv1a_bytes(std::uint64_t h, const void* data,
@@ -124,21 +116,21 @@ std::uint64_t topology_fingerprint(const topo::Graph& g,
 /// ascending weight (the tunnel list is already sorted by weight) —
 /// Appendix A.2: FastSSP is run sequentially, shorter tunnels first, each
 /// building on the remaining demand set. Returns the chosen tunnel per
-/// view flow (-1 = rejected); writes nothing shared, so it can run in
+/// class flow (-1 = rejected); writes nothing shared, so it can run in
 /// parallel across pairs and its result can be memoized verbatim.
 std::vector<std::int32_t> solve_pair_stage2(
-    const ClassView& view, const std::vector<double>& f_kt,
+    const std::vector<double>& demands, const std::vector<double>& f_kt,
     std::size_t num_tunnels, const ssp::FastSspOptions& options) {
-  std::vector<std::int32_t> assignment(view.flow_ids.size(), -1);
-  std::vector<char> assigned(view.flow_ids.size(), 0);
+  std::vector<std::int32_t> assignment(demands.size(), -1);
+  std::vector<char> assigned(demands.size(), 0);
   for (std::size_t t = 0; t < num_tunnels && t < f_kt.size(); ++t) {
     if (f_kt[t] <= 0.0) continue;
     // Demands still unassigned in this round.
     std::vector<double> remaining;
     std::vector<std::size_t> remaining_pos;
-    for (std::size_t i = 0; i < view.flow_ids.size(); ++i) {
+    for (std::size_t i = 0; i < demands.size(); ++i) {
       if (!assigned[i]) {
-        remaining.push_back(view.demands[i]);
+        remaining.push_back(demands[i]);
         remaining_pos.push_back(i);
       }
     }
@@ -151,21 +143,6 @@ std::vector<std::int32_t> solve_pair_stage2(
     }
   }
   return assignment;
-}
-
-/// Replays a per-view assignment onto the pair's allocation. Iterating in
-/// ascending view order reproduces bit-for-bit the accumulation order of
-/// the pre-refactor inline loop (per tunnel cell, contributions arrive in
-/// ascending flow order either way).
-void apply_assignment(const ClassView& view,
-                      const std::vector<std::int32_t>& assignment,
-                      PairAllocation& alloc) {
-  for (std::size_t i = 0; i < assignment.size(); ++i) {
-    const std::int32_t t = assignment[i];
-    if (t < 0) continue;
-    alloc.flow_tunnel[view.flow_ids[i]] = t;
-    alloc.tunnel_alloc[t] += view.demands[i];
-  }
 }
 
 }  // namespace
@@ -197,31 +174,12 @@ void MegaTeSolver::set_options(const MegaTeOptions& options) {
 void MegaTeSolver::reset_incremental() { inc_state_ = IncrementalState{}; }
 
 TeSolution MegaTeSolver::solve(const TeProblem& problem) {
-  inc_stats_ = IncrementalStats{};
-  return solve_impl(problem, false);
+  return solve(problem, {}).solution;
 }
 
 SolveReport MegaTeSolver::solve(const TeProblem& problem,
                                 const SolveContext& ctx) {
-  if (ctx.learned) return solve_learned(problem, ctx);
-  SolveReport report;
-  if (ctx.incremental) {
-    report.solution = solve_incremental_impl(problem, ctx.prev);
-  } else {
-    inc_stats_ = IncrementalStats{};
-    report.solution = solve_impl(problem, false);
-  }
-  report.stage1_seconds = stage1_s_;
-  report.stage2_seconds = stage2_s_;
-  report.incremental = inc_stats_;
-  report.hop_budget_violations = hop_violations_;
-  if (hop_violations_ > 0) {
-    report.error = "plan/encap contract violated: " +
-                   std::to_string(hop_violations_) +
-                   " allocation(s) exceed max_sr_hops=" +
-                   std::to_string(options_.site_lp.max_sr_hops);
-  }
-  return report;
+  return ctx.learned ? solve_learned(problem, ctx) : solve_exact(problem, ctx);
 }
 
 SolveReport MegaTeSolver::solve_learned(const TeProblem& problem,
@@ -293,69 +251,60 @@ SolveReport MegaTeSolver::solve_learned(const TeProblem& problem,
     reg->counter("te.learned.fallbacks").inc();
     reg->counter("te.learned.fallback." + reason).inc();
   }
-  SolveContext exact_ctx = ctx;
-  exact_ctx.learned = false;
-  SolveReport report = solve(problem, exact_ctx);
+  SolveReport report = solve_exact(problem, ctx);
   la.observe(problem, report.solution);
   stats.observations = la.observations();
   report.learned = std::move(stats);
   return report;
 }
 
-TeSolution MegaTeSolver::solve_incremental_impl(const TeProblem& problem,
-                                                const TeProblem* prev) {
-  if (!problem.valid()) throw std::invalid_argument("invalid TE problem");
-  inc_stats_ = IncrementalStats{};
-
-  const std::uint64_t fp = topology_fingerprint(
-      *problem.graph, *problem.tunnels, problem.epsilon);
-  if (inc_state_.valid && inc_state_.topo_fp != fp) {
-    // Topology or capacity moved (fault event, repair, derate): every
-    // cached result was computed against a different network — drop all.
-    inc_state_.memo.invalidate_all();
-    inc_state_ = IncrementalState{};
-    ++inc_stats_.cache_invalidations;
-  }
-  tm::PairFingerprintMap prev_fps = std::move(inc_state_.pair_fps);
-  if (prev_fps.empty() && prev != nullptr && prev->valid()) {
-    // No retained state (first call, or the caller solved the previous
-    // interval elsewhere): the previous traffic matrix still seeds the
-    // demand delta, provided it was paired with this very topology.
-    if (topology_fingerprint(*prev->graph, *prev->tunnels, prev->epsilon) ==
-        fp) {
-      prev_fps = tm::fingerprint_pairs(*prev->traffic);
-    }
-  }
-
-  // Fingerprint the new matrix exactly once: the same map serves the
-  // delta classification, keys the stage-2 memo during solve_impl (which
-  // is why it must land in inc_state_ *before* the solve), and becomes
-  // the comparison baseline for the next interval.
-  inc_state_.pair_fps = tm::fingerprint_pairs(*problem.traffic);
-  if (!prev_fps.empty()) {
-    const tm::DemandDelta delta =
-        tm::diff_traffic(prev_fps, inc_state_.pair_fps);
-    inc_stats_.dirty_pairs = delta.dirty_pairs();
-    inc_stats_.clean_pairs = delta.clean_pairs;
-  }
-  inc_stats_.used_incremental = inc_state_.valid;
-
-  TeSolution sol = solve_impl(problem, true);
-
-  inc_state_.topo_fp = fp;
-  inc_state_.valid = true;
-  return sol;
-}
-
-TeSolution MegaTeSolver::solve_impl(const TeProblem& problem,
-                                    bool incremental) {
+SolveReport MegaTeSolver::solve_exact(const TeProblem& problem,
+                                      const SolveContext& ctx) {
   if (!problem.valid()) throw std::invalid_argument("invalid TE problem");
   const topo::Graph& g = *problem.graph;
   const topo::TunnelSet& tunnels = *problem.tunnels;
   const tm::TrafficMatrix& traffic = *problem.traffic;
+  const bool incremental = ctx.incremental;
+
+  SolveReport report;
+  IncrementalStats& inc = report.incremental;
+
+  // --- Delta: classify pairs against the retained state (incremental) ---
+  std::uint64_t topo_fp = 0;
+  if (incremental) {
+    topo_fp = topology_fingerprint(g, tunnels, problem.epsilon);
+    if (inc_state_.valid && inc_state_.topo_fp != topo_fp) {
+      // Topology or capacity moved (fault event, repair, derate): every
+      // cached result was computed against a different network — drop all.
+      inc_state_.memo.invalidate_all();
+      inc_state_ = IncrementalState{};
+      ++inc.cache_invalidations;
+    }
+    tm::PairFingerprintMap prev_fps = std::move(inc_state_.pair_fps);
+    const TeProblem* prev = ctx.prev;
+    if (prev_fps.empty() && prev != nullptr && prev->valid() &&
+        topology_fingerprint(*prev->graph, *prev->tunnels, prev->epsilon) ==
+            topo_fp) {
+      // No retained state (first call, or the caller solved the previous
+      // interval elsewhere): the previous traffic matrix still seeds the
+      // demand delta, provided it was paired with this very topology.
+      prev_fps = tm::fingerprint_pairs(*prev->traffic);
+    }
+    // Fingerprint the new matrix exactly once: the same map serves the
+    // delta classification, keys the stage-2 memo below, and becomes the
+    // comparison baseline for the next interval.
+    inc_state_.pair_fps = tm::fingerprint_pairs(traffic);
+    if (!prev_fps.empty()) {
+      const tm::DemandDelta delta =
+          tm::diff_traffic(prev_fps, inc_state_.pair_fps);
+      inc.dirty_pairs = delta.dirty_pairs;
+      inc.clean_pairs = delta.clean_pairs;
+    }
+    inc.used_incremental = inc_state_.valid;
+  }
+  ssp::PairMemoCache* const memo = incremental ? &inc_state_.memo : nullptr;
 
   util::Stopwatch total_clock;
-  stage1_s_ = stage2_s_ = 0.0;
 
   // Observability (optional). Handles are resolved once up front; the
   // per-pair hot loops then pay one relaxed-atomic observe each.
@@ -373,7 +322,7 @@ TeSolution MegaTeSolver::solve_impl(const TeProblem& problem,
         .inc();
   }
 
-  TeSolution sol;
+  TeSolution& sol = report.solution;
   sol.solver_name = name();
   sol.total_demand_gbps = traffic.total_demand_gbps();
 
@@ -449,7 +398,7 @@ TeSolution MegaTeSolver::solve_impl(const TeProblem& problem,
                                   warm_in, warm_out);
     s1_span.reset();
     const double s1_elapsed = s1.elapsed_seconds();
-    stage1_s_ += s1_elapsed;
+    report.stage1_seconds += s1_elapsed;
     if (reg != nullptr) {
       reg->histogram("te.stage1." + qos_label + ".seconds")
           .observe(s1_elapsed);
@@ -457,124 +406,99 @@ TeSolution MegaTeSolver::solve_impl(const TeProblem& problem,
     sol.iterations += lp.iterations;
     if (incremental) {
       if (lp.warm_start_used) {
-        ++inc_stats_.warm_start_rounds;
+        ++inc.warm_start_rounds;
       } else {
-        ++inc_stats_.cold_lp_rounds;
+        ++inc.cold_lp_rounds;
       }
-      inc_stats_.lp_iterations += lp.iterations;
+      inc.lp_iterations += lp.iterations;
     }
 
     // --- Stage 2: per-pair FastSSP, parallel across site pairs ---
     util::Stopwatch s2;
     std::optional<obs::Span> s2_span;
     if (reg != nullptr) s2_span.emplace(*reg, "stage2");
-    // Per-pair wall time; plain chrono + one histogram observe rather
-    // than a span per pair (spans would record thousands of rows).
-    const auto observe_pair = [pair_hist](
-                                  std::chrono::steady_clock::time_point t0) {
-      if (pair_hist == nullptr) return;
-      pair_hist->observe(std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count());
+    // With a memo, a serial probe first looks each pair up by its
+    // flow-list fingerprint (inc_state_.pair_fps holds the *current*
+    // interval's map) plus the bitwise hash of this round's F_{k,t}, so
+    // the probe is O(1) per pair and the memo stays lock-free with a
+    // deterministic insertion order. Entry pointers stay valid until the
+    // insert loop below, and all applies happen before any insert.
+    struct MemoProbe {
+      bool solved = false;  ///< stage 1 allocated to the pair this round
+      std::uint64_t slot = 0;
+      ssp::PairSolveKey key;
+      const ssp::PairSolveEntry* hit = nullptr;
     };
-    if (!incremental) {
-      pool.parallel_for(pair_ids.size(), [&](std::size_t p) {
-        const auto t0 = std::chrono::steady_clock::now();
-        const topo::SitePair pair = pair_ids[p];
-        auto lp_it = lp.alloc.find(pair);
-        if (lp_it == lp.alloc.end()) return;
-        const auto& ts = tunnels.tunnels(pair.src, pair.dst);
-        // All pairs were pre-created above; find() avoids a concurrent
-        // operator[] insert on the shared map.
-        PairAllocation& alloc = sol.pairs.find(pair)->second;
-        const ClassView view = class_view(*pair_flows[p], qos, sequencing);
-        apply_assignment(view,
-                         solve_pair_stage2(view, lp_it->second, ts.size(),
-                                           options_.fast_ssp),
-                         alloc);
-        observe_pair(t0);
-      });
-    } else {
-      // Memoized stage 2. The memo key reuses the delta pass's per-pair
-      // flow-list fingerprint (inc_state_.pair_fps holds the *current*
-      // interval's map at this point) plus the bitwise hash of this
-      // round's F_{k,t}, so the serial probe phase is O(1) per pair.
-      // Hits replay their cached assignment straight off the flow list —
-      // no ClassView is materialized — walking flows in the same
-      // ascending order as apply_assignment, which keeps the tunnel_alloc
-      // accumulation bitwise identical to a recompute. Only the probes
-      // and inserts are serial (lock-free memo, deterministic insertion
-      // order); the O(flows) work runs under the pool like the cold path.
-      struct PairWork {
-        ClassView view;  // built only for misses
-        const std::vector<tm::EndpointDemand>* flows = nullptr;
-        const std::vector<double>* f_kt = nullptr;
-        std::size_t num_tunnels = 0;
-        std::uint64_t slot = 0;
-        ssp::PairSolveKey key;
-        const ssp::PairSolveEntry* hit = nullptr;
-        std::vector<std::int32_t> assignment;
-      };
-      std::vector<PairWork> work(pair_ids.size());
+    std::vector<MemoProbe> probes;
+    if (memo != nullptr) {
+      probes.resize(pair_ids.size());
       for (std::size_t p = 0; p < pair_ids.size(); ++p) {
         const topo::SitePair pair = pair_ids[p];
-        auto lp_it = lp.alloc.find(pair);
+        const auto lp_it = lp.alloc.find(pair);
         if (lp_it == lp.alloc.end()) continue;
-        PairWork& w = work[p];
-        w.flows = pair_flows[p];
-        w.f_kt = &lp_it->second;
-        w.num_tunnels = tunnels.tunnels(pair.src, pair.dst).size();
-        w.slot = pair_round_slot(pair, round);
-        w.key.demand_hash = inc_state_.pair_fps.at(pair).hash;
-        w.key.alloc_hash = hash_doubles(*w.f_kt);
-        // Entry pointers stay valid until the insert loop below, and all
-        // applies happen before any insert.
-        w.hit = inc_state_.memo.lookup(w.slot, w.key);
-        if (w.hit != nullptr) {
-          ++inc_stats_.ssp_cache_hits;
+        MemoProbe& probe = probes[p];
+        probe.solved = true;
+        probe.slot = pair_round_slot(pair, round);
+        probe.key.demand_hash = inc_state_.pair_fps.at(pair).hash;
+        probe.key.alloc_hash = hash_doubles(lp_it->second);
+        probe.hit = memo->lookup(probe.slot, probe.key);
+        if (probe.hit != nullptr) {
+          ++inc.ssp_cache_hits;
           if (memo_hits != nullptr) memo_hits->inc();
         } else {
-          ++inc_stats_.ssp_cache_misses;
+          ++inc.ssp_cache_misses;
           if (memo_misses != nullptr) memo_misses->inc();
         }
       }
-      pool.parallel_for(work.size(), [&](std::size_t p) {
-        const auto t0 = std::chrono::steady_clock::now();
-        PairWork& w = work[p];
-        if (w.f_kt == nullptr) return;
-        PairAllocation& alloc = sol.pairs.find(pair_ids[p])->second;
-        if (w.hit == nullptr) {
-          w.view = class_view(*w.flows, qos, sequencing);
-          w.assignment = solve_pair_stage2(w.view, *w.f_kt, w.num_tunnels,
-                                           options_.fast_ssp);
-          apply_assignment(w.view, w.assignment, alloc);
-          observe_pair(t0);
-          return;
-        }
-        // Hit: the cached assignment is indexed by view position; the
-        // class filter below enumerates exactly class_view's positions.
-        const auto& flows = *w.flows;
-        std::size_t vi = 0;
-        for (std::size_t i = 0; i < flows.size(); ++i) {
-          if (sequencing && flows[i].qos != qos) continue;
-          const std::int32_t t = w.hit->assignment[vi++];
-          if (t >= 0) {
-            alloc.flow_tunnel[i] = t;
-            alloc.tunnel_alloc[t] += flows[i].demand_gbps;
-          }
-        }
-        observe_pair(t0);
-      });
-      for (std::size_t p = 0; p < pair_ids.size(); ++p) {
-        PairWork& w = work[p];
-        if (w.f_kt == nullptr || w.hit != nullptr) continue;
-        inc_state_.memo.insert(w.slot, w.key,
-                               ssp::PairSolveEntry{std::move(w.assignment)});
+    }
+    // Each pair takes its assignment from the memo hit or from FastSSP,
+    // then replays it onto the pair's allocation in ascending flow order,
+    // so every tunnel cell accumulates its flows in the same order either
+    // way and a hit is bitwise identical to a recompute. Per-pair wall
+    // time is plain chrono + one histogram observe rather than a span per
+    // pair (spans would record thousands of rows).
+    std::vector<std::vector<std::int32_t>> computed(pair_ids.size());
+    pool.parallel_for(pair_ids.size(), [&](std::size_t p) {
+      const auto t0 = std::chrono::steady_clock::now();
+      const topo::SitePair pair = pair_ids[p];
+      const auto lp_it = lp.alloc.find(pair);
+      if (lp_it == lp.alloc.end()) return;
+      const auto& flows = *pair_flows[p];
+      const ssp::PairSolveEntry* hit =
+          memo != nullptr ? probes[p].hit : nullptr;
+      if (hit == nullptr) {
+        computed[p] = solve_pair_stage2(
+            class_demands(flows, qos, sequencing), lp_it->second,
+            tunnels.tunnels(pair.src, pair.dst).size(), options_.fast_ssp);
       }
+      const std::vector<std::int32_t>& assignment =
+          hit != nullptr ? hit->assignment : computed[p];
+      // All pairs were pre-created above; find() avoids a concurrent
+      // operator[] insert on the shared map.
+      PairAllocation& alloc = sol.pairs.find(pair)->second;
+      std::size_t ci = 0;
+      for (std::size_t i = 0; i < flows.size(); ++i) {
+        if (sequencing && flows[i].qos != qos) continue;
+        const std::int32_t t = assignment[ci++];
+        if (t < 0) continue;
+        alloc.flow_tunnel[i] = t;
+        alloc.tunnel_alloc[t] += flows[i].demand_gbps;
+      }
+      if (pair_hist != nullptr) {
+        pair_hist->observe(std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count());
+      }
+    });
+    for (std::size_t p = 0; p < probes.size(); ++p) {
+      const MemoProbe& probe = probes[p];
+      if (!probe.solved || probe.hit != nullptr) continue;
+      memo->insert(probe.slot, probe.key,
+                   ssp::PairSolveEntry{std::move(computed[p])});
     }
     s2_span.reset();
     const double s2_elapsed = s2.elapsed_seconds();
-    stage2_s_ += s2_elapsed;
+    report.stage2_seconds += s2_elapsed;
     if (reg != nullptr) {
       reg->histogram("te.stage2." + qos_label + ".seconds")
           .observe(s2_elapsed);
@@ -648,8 +572,6 @@ TeSolution MegaTeSolver::solve_impl(const TeProblem& problem,
     }
   }
 
-  if (incremental) inc_state_.warm = std::move(new_warm);
-
   // Satisfied demand = sum of assigned flows.
   double satisfied = 0.0;
   for (std::size_t p = 0; p < pair_ids.size(); ++p) {
@@ -666,30 +588,42 @@ TeSolution MegaTeSolver::solve_impl(const TeProblem& problem,
   // the budget, so a non-zero count here is an internal bug — fail loudly
   // (solved=false + counter + SolveReport::error) instead of letting the
   // dataplane discover it one refused encapsulation at a time.
-  hop_violations_ = 0;
-  if (options_.site_lp.max_sr_hops > 0) {
-    hop_violations_ = count_hop_budget_violations(
-        problem, sol, options_.site_lp.max_sr_hops);
-    if (hop_violations_ > 0) {
-      sol.solved = false;
-      if (reg != nullptr) {
-        reg->counter("te.hop_budget_violations").inc(hop_violations_);
-      }
+  const std::uint32_t hop_budget = options_.site_lp.max_sr_hops;
+  if (hop_budget > 0) {
+    report.hop_budget_violations =
+        count_hop_budget_violations(problem, sol, hop_budget);
+  }
+  if (report.hop_budget_violations > 0) {
+    sol.solved = false;
+    report.error = "plan/encap contract violated: " +
+                   std::to_string(report.hop_budget_violations) +
+                   " allocation(s) exceed max_sr_hops=" +
+                   std::to_string(hop_budget);
+    if (reg != nullptr) {
+      reg->counter("te.hop_budget_violations")
+          .inc(report.hop_budget_violations);
     }
   }
 
   if (reg != nullptr) {
-    reg->gauge("te.last.stage1_seconds").set(stage1_s_);
-    reg->gauge("te.last.stage2_seconds").set(stage2_s_);
+    reg->gauge("te.last.stage1_seconds").set(report.stage1_seconds);
+    reg->gauge("te.last.stage2_seconds").set(report.stage2_seconds);
     reg->gauge("te.last.solve_seconds").set(sol.solve_time_s);
     reg->gauge("te.last.satisfied_gbps").set(satisfied);
     reg->gauge("te.last.total_demand_gbps").set(sol.total_demand_gbps);
   }
-  // Working set: LP columns + one int per flow.
+  // Working set: an int32 tunnel choice and a double demand per flow,
+  // plus 64 B of LP column state per tunnel.
   sol.est_memory_bytes =
       traffic.num_flows() * (sizeof(std::int32_t) + sizeof(double)) +
       tunnels.total_tunnels() * 64;
-  return sol;
+
+  if (incremental) {
+    inc_state_.warm = std::move(new_warm);
+    inc_state_.topo_fp = topo_fp;
+    inc_state_.valid = true;
+  }
+  return report;
 }
 
 }  // namespace megate::te

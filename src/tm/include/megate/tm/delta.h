@@ -15,6 +15,7 @@
 // equality is the invariance that makes cached results byte-for-byte
 // interchangeable with a recompute.
 
+#include <cstddef>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -44,37 +45,16 @@ PairFingerprintMap fingerprint_pairs(const TrafficMatrix& traffic);
 
 /// Classification of one interval's pairs against the previous interval.
 struct DemandDelta {
-  /// Pairs present in `next` whose flow list changed or is new, plus pairs
-  /// that vanished since `prev`.
-  std::vector<topo::SitePair> dirty;
+  /// Pairs of `next` whose flow list changed or is new, plus pairs of
+  /// `prev` that vanished.
+  std::size_t dirty_pairs = 0;
   std::size_t clean_pairs = 0;
-  std::size_t changed_pairs = 0;
-  std::size_t added_pairs = 0;
-  std::size_t removed_pairs = 0;
-  /// Demand (of `next`) behind the dirty pairs, and the matrix total.
-  double dirty_demand_gbps = 0.0;
-  double total_demand_gbps = 0.0;
-
-  std::size_t dirty_pairs() const noexcept { return dirty.size(); }
-  /// Share of demand that must be re-solved (0 on an empty matrix).
-  double dirty_fraction() const noexcept {
-    return total_demand_gbps > 0.0 ? dirty_demand_gbps / total_demand_gbps
-                                   : 0.0;
-  }
 };
 
-/// Diffs `next` against the previous interval's fingerprints.
-DemandDelta diff_traffic(const PairFingerprintMap& prev,
-                         const TrafficMatrix& next);
-
-/// Diffs two pre-computed fingerprint maps — for callers that keep the
-/// new interval's fingerprints around anyway (the incremental solver
-/// fingerprints each matrix exactly once this way).
+/// Diffs the new interval's fingerprints against the previous interval's
+/// (the incremental solver fingerprints each matrix exactly once and
+/// keeps the map as the next interval's baseline).
 DemandDelta diff_traffic(const PairFingerprintMap& prev,
                          const PairFingerprintMap& next);
-
-/// Convenience overload fingerprinting `prev` on the fly.
-DemandDelta diff_traffic(const TrafficMatrix& prev,
-                         const TrafficMatrix& next);
 
 }  // namespace megate::tm

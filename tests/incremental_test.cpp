@@ -297,6 +297,42 @@ TEST_F(IncrementalCacheTest, RepeatSolveHitsMemoAndWarmStart) {
   }
 }
 
+TEST_F(IncrementalCacheTest, ColdSolveNeitherReadsNorClobbersRetainedState) {
+  // Cold and incremental solves share one pass sequence on one solver; a
+  // cold call in between must leave the memo and warm bases as they were.
+  const te::TeProblem problem = s_->problem();
+  const te::SolveReport primed = solver_.solve(problem, inc_ctx());
+
+  const te::SolveReport cold = solver_.solve(problem, {});
+  const te::IncrementalStats& cs = cold.incremental;
+  EXPECT_FALSE(cs.used_incremental);
+  EXPECT_EQ(cs.dirty_pairs, 0u);
+  EXPECT_EQ(cs.clean_pairs, 0u);
+  EXPECT_EQ(cs.ssp_cache_hits, 0u);
+  EXPECT_EQ(cs.ssp_cache_misses, 0u);
+  EXPECT_EQ(cs.cache_invalidations, 0u);
+  EXPECT_EQ(cs.warm_start_rounds, 0u);
+  EXPECT_EQ(cs.cold_lp_rounds, 0u);
+  EXPECT_EQ(cs.lp_iterations, 0u);
+
+  const te::SolveReport again = solver_.solve(problem, inc_ctx());
+  const te::IncrementalStats& stats = again.incremental;
+  EXPECT_TRUE(stats.used_incremental);
+  EXPECT_GT(stats.ssp_cache_hits, 0u);
+  EXPECT_EQ(stats.ssp_cache_misses, 0u);
+  EXPECT_EQ(stats.dirty_pairs, 0u);
+  EXPECT_GT(stats.warm_start_rounds, 0u);
+  for (const te::SolveReport* r : {&cold, &again}) {
+    EXPECT_EQ(r->solution.satisfied_gbps, primed.solution.satisfied_gbps);
+    for (const auto& [pair, alloc] : primed.solution.pairs) {
+      const auto it = r->solution.pairs.find(pair);
+      ASSERT_NE(it, r->solution.pairs.end());
+      EXPECT_EQ(alloc.flow_tunnel, it->second.flow_tunnel);
+      EXPECT_EQ(alloc.tunnel_alloc, it->second.tunnel_alloc);
+    }
+  }
+}
+
 TEST_F(IncrementalCacheTest, LinkFailureInvalidatesEverything) {
   const te::TeProblem problem = s_->problem();
   (void)solver_.solve(problem, inc_ctx());

@@ -1,4 +1,5 @@
-// Golden digests pinning the stage-1 packing solver's outputs bit for bit.
+// Golden digests pinning the stage-1 solvers and the MegaTE solve path bit
+// for bit.
 //
 // lp::PackingSolver::solve is one scalar Garg–Könemann loop. Downstream
 // state keys on its exact bits (the stage-2 memo hashes F_{k,t}; chaos
@@ -13,7 +14,11 @@
 //   2. A 4-interval te::MegaTeSolver run on the packing backend, cold then
 //      incremental over evolving traffic: every bit of every TeSolution
 //      except the wall-clock solve time.
-//   3. The chaos fingerprint with stage 1 forced onto the packing backend.
+//   3. A 4-interval te::MegaTeSolver run on the default (auto -> simplex)
+//      backend at 1 and 4 threads: every TeSolution bit but the wall time,
+//      each call's incremental stats and hop-budget audit, and one call
+//      through the Solver interface.
+//   4. The chaos fingerprint with stage 1 forced onto the packing backend.
 //
 // A mismatch means the solver's float operations changed. If that is
 // intended, re-record the constants and say why in CHANGES.md.
@@ -221,7 +226,57 @@ TEST(Stage1Golden, MegaTeColdAndIncrementalMatchRecordedDigest) {
   EXPECT_EQ(hex(all.value()), hex(0x46a5757e1abcc625ULL));
 }
 
-// --- 3. Chaos fingerprint on the packing backend ---------------------------
+// --- 3. MegaTeSolver on the default backend --------------------------------
+
+void digest_report(Digest& d, const te::SolveReport& r) {
+  digest_te_solution(d, r.solution);
+  const te::IncrementalStats& s = r.incremental;
+  d.add(static_cast<std::uint64_t>(s.used_incremental));
+  d.add(static_cast<std::uint64_t>(s.dirty_pairs));
+  d.add(static_cast<std::uint64_t>(s.clean_pairs));
+  d.add(static_cast<std::uint64_t>(s.ssp_cache_hits));
+  d.add(static_cast<std::uint64_t>(s.ssp_cache_misses));
+  d.add(static_cast<std::uint64_t>(s.cache_invalidations));
+  d.add(static_cast<std::uint64_t>(s.warm_start_rounds));
+  d.add(static_cast<std::uint64_t>(s.cold_lp_rounds));
+  d.add(static_cast<std::uint64_t>(s.lp_iterations));
+  d.add(static_cast<std::uint64_t>(r.hop_budget_violations));
+  d.add(r.error);
+}
+
+TEST(SolvePathGolden, DefaultBackendColdAndIncrementalMatchRecordedDigest) {
+  // The auto backend picks the simplex here, as it does on B4: a cold
+  // interval, two incremental ones over churned traffic (memo hits and
+  // misses, the demand delta), one re-solving the same matrix (all hits,
+  // warm bases reused), then one call through the one-argument Solver
+  // interface. The digest was recorded while cold and memoized stage 2
+  // were still two separate passes. 100 endpoints per site put several
+  // flows on most (pair, class) cells, so the digest also sees the order
+  // in which stage 2 accumulates each tunnel cell.
+  auto s = testing::make_scenario(12, 20, 100, 0.3, 7);
+  Digest all;
+  for (std::size_t threads : {1u, 4u}) {
+    te::MegaTeOptions opt;
+    opt.threads = threads;
+    te::MegaTeSolver solver(opt);
+    tm::TrafficMatrix current = s->traffic;
+    te::TeProblem problem = s->problem();
+    for (std::size_t interval = 0; interval < 4; ++interval) {
+      if (interval == 1 || interval == 2) {
+        current = evolve_traffic(current, 0.15, 1000003ULL * interval + 5);
+      }
+      problem.traffic = &current;
+      te::SolveContext ctx;
+      ctx.incremental = interval > 0;
+      digest_report(all, solver.solve(problem, ctx));
+    }
+    te::Solver& base = solver;
+    digest_te_solution(all, base.solve(problem));
+  }
+  EXPECT_EQ(hex(all.value()), hex(0xe5bf192b63684321ULL));
+}
+
+// --- 4. Chaos fingerprint on the packing backend ---------------------------
 
 TEST(Stage1Golden, ChaosFingerprintOnPackingMatchesRecorded) {
   fault::ChaosOptions o;

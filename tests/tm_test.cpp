@@ -1,10 +1,12 @@
 // Tests for megate::tm — endpoint identifiers, the Weibull endpoint
-// layout (paper Fig. 8), and the endpoint-granular traffic generator.
+// layout (paper Fig. 8), the endpoint-granular traffic generator, and the
+// demand delta between intervals.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "megate/tm/delta.h"
 #include "megate/tm/endpoints.h"
 #include "megate/tm/traffic.h"
 #include "megate/topo/generators.h"
@@ -248,6 +250,16 @@ TEST(Traffic, TotalLinkCapacityCountsUpLinksOnly) {
   const double less = total_link_capacity_gbps(g);
   EXPECT_LT(less, full);
   EXPECT_NEAR(full - less, g.link(0).capacity_gbps, 1e-9);
+}
+
+TEST(DemandDelta, ChangedAddedAndVanishedPairsAreDirty) {
+  const PairFingerprint a{1, 1, 1.0};
+  const PairFingerprint b{2, 1, 2.0};
+  const PairFingerprintMap prev = {{{0, 1}, a}, {{0, 2}, a}, {{1, 2}, a}};
+  const PairFingerprintMap next = {{{0, 1}, a}, {{0, 2}, b}, {{2, 0}, b}};
+  const DemandDelta d = diff_traffic(prev, next);
+  EXPECT_EQ(d.clean_pairs, 1u);  // (0,1)
+  EXPECT_EQ(d.dirty_pairs, 3u);  // (0,2) changed, (2,0) new, (1,2) gone
 }
 
 }  // namespace
