@@ -162,10 +162,10 @@ ASAN_FILTER+=':DemandStreamTest.*:OnlineAllocatorTest.*'
 ASAN_FILTER+=':OnlineDifferential.*:PeriodSimChurnTest.*:ChaosChurnTest.*'
 # Learned allocation (tests/learned_test.cpp): the shared repair kernel
 # reuses CSR-style SoA arenas across solves and hands out raw spans into
-# them, the quantization pass walks index-sorted views of pair flow
-# lists, and the 100+-interval differential replays train/predict cycles
-# over evolving matrices — arena reuse and span lifetime bugs are ASan
-# territory.
+# them (its recorded-digest test drives the refill walk), the
+# quantization pass walks index-sorted views of pair flow lists, and the
+# 100+-interval differential replays train/predict cycles over evolving
+# matrices — arena reuse and span lifetime bugs are ASan territory.
 ASAN_FILTER+=':TealRepairParity.*:RepairKernel.*:LearnedGate.*'
 ASAN_FILTER+=':FlowPredictorDeterminism.*:FlowPredictorEdgeCases.*'
 ASAN_FILTER+=':LearnedConcurrency.*'
@@ -201,10 +201,10 @@ TSAN_FILTER+=':NetctrlAcceptanceTest.*'
 # suite drives exactly that interleaving.
 TSAN_FILTER+=':OnlineConcurrency.*'
 # LearnedAllocator's training loop: observe() (SGD + prior EWMAs) runs
-# concurrently with allocate() (model forward pass + pooled repair) and
+# concurrently with allocate() (model forward pass + serial repair) and
 # the read accessors from a third thread, all serialized on the internal
-# mutex — plus the repair kernel's parallel phases on real pool workers.
-TSAN_FILTER+=':LearnedConcurrency.*:RepairKernel.*'
+# mutex.
+TSAN_FILTER+=':LearnedConcurrency.*'
 # MegaTE stage 2: pool workers write their own pairs of the shared
 # solution map between the serial memo probe and insert loops, reading
 # memo entries the probe handed out (tests/stage1_golden_test.cpp,

@@ -45,10 +45,6 @@
 #include "megate/tm/delta.h"
 #include "megate/tm/prediction.h"
 
-namespace megate::util {
-class ThreadPool;
-}
-
 namespace megate::te {
 
 struct LearnedOptions {
@@ -104,8 +100,8 @@ class LearnedAllocator {
   /// feasibility repair -> per-flow quantization + residual top-up. The
   /// result always has flow_tunnel assignments, never exceeds any link
   /// capacity, and only uses alive tunnels within max_sr_hops.
-  /// Deterministic for a given model state at every pool size.
-  TeSolution allocate(const TeProblem& problem, util::ThreadPool* pool);
+  /// Deterministic for a given model state.
+  TeSolution allocate(const TeProblem& problem);
 
   /// Folds one exact outcome into training: per-pair split priors and
   /// demand EWMAs, fingerprint baselines, one SGD step per pair on the

@@ -44,9 +44,9 @@ struct MegaTeOptions {
   SiteLpOptions site_lp;
   ssp::FastSspOptions fast_ssp;
   /// Worker threads (0 = hardware) of the solver's pool, which runs the
-  /// per-pair stage-2 solves, the cluster-contracted stage-1 buckets
-  /// (stage1_clusters > 1) and the learned allocator's repair. The joint
-  /// stage-1 LP is single-threaded.
+  /// per-pair stage-2 solves and the cluster-contracted stage-1 buckets
+  /// (stage1_clusters > 1). The joint stage-1 LP and the learned
+  /// allocator are single-threaded.
   std::size_t threads = 0;
   /// > 1: solve stage 1 with the cluster-contracted MaxSiteFlow (§8
   /// "Accelerating MaxSiteFlow solving") using this many site clusters;

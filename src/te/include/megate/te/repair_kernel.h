@@ -1,5 +1,5 @@
 #pragma once
-// Shared feasibility-repair kernel (ISSUE 10 tentpole).
+// Shared feasibility-repair kernel.
 //
 // Both allocation fast paths in this repo end in the same correction
 // problem: a cheap forward pass (TEAL's softmax spread, the learned
@@ -8,50 +8,38 @@
 // capacities, and a projection/refill loop must make it feasible without
 // giving up satisfied demand. This kernel is that loop, factored out of
 // TealSolver::solve into a structure-of-arrays arena (util::FlatRows —
-// one contiguous buffer per quantity, no per-iteration allocation) whose
-// O(flows) passes shard across a util::ThreadPool.
+// one contiguous buffer per quantity, no per-iteration allocation).
 //
-// Per iteration (TealSolver's ADMM-style schedule, unchanged):
-//   1. accumulate per-tunnel sums and per-link usage;
+// Per iteration (TealSolver's ADMM-style schedule, unchanged), one serial
+// sweep over the pairs at a time:
+//   1. accumulate per-tunnel sums (flow-major: i outer, tunnel inner) and
+//      merge them into per-link usage in pair order;
 //   2. per-link multiplicative projection factor — damped
 //      (0.5 * (1 + cap/usage)) on early iterations, hard (cap/usage) on
 //      the last so the output is capacity-feasible;
-//   3. scale every tunnel's column by the min factor along its links;
-//   4. (non-last iterations) refill: redistribute each pair's unallocated
-//      remainder onto its tunnels against the global residual, ascending
-//      tunnel order, pro-rata across the pair's flows.
+//   3. scale every tunnel's column by the min factor along its links and,
+//      on non-final iterations, re-sum the projected column (tunnel-major:
+//      i inner) into per-link usage, giving the refill's residual;
+//   4. (non-final iterations) refill: per pair, compute each flow's
+//      shortfall, then walk the pair's tunnels in ascending order against
+//      the global residual, granting the unallocated remainder pro-rata
+//      across the pair's flows as each grant is made.
 //
-// Bit-identity contract: run() produces byte-for-byte the allocations of
-// the pre-refactor TealSolver loop at EVERY thread count. The parallel
-// phases only touch disjoint per-pair rows and all cross-pair reductions
-// (link usage, the refill residual walk) happen serially in pair order,
-// so the floating-point operation sequence per memory cell is identical
-// to the serial original. Enforced by tests/learned_test.cpp's
-// TealRepairParity suite against an embedded copy of the original loop.
+// Bit identity: run() performs, on every memory cell, the floating-point
+// operation sequence of the pre-refactor TealSolver loop, including the
+// two summation orders above. Gates: tests/learned_test.cpp's
+// TealRepairParity suite compares TealSolver against an embedded copy of
+// that loop, and RepairKernel.RandomJaggedProblemsMatchRecordedDigest pins
+// the kernel's output on random jagged problems to a recorded digest.
 
 #include <cstddef>
-#include <cstdint>
-#include <functional>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "megate/topo/graph.h"
 #include "megate/util/soa.h"
 
-namespace megate::util {
-class ThreadPool;
-}
-
 namespace megate::te {
-
-struct RepairOptions {
-  /// Projection/refill passes; the final pass projects hard. Must be >= 1.
-  std::size_t iterations = 12;
-  /// Shards the per-pair O(flows) phases; null = inline serial. Results
-  /// are bit-identical for every pool size.
-  util::ThreadPool* pool = nullptr;
-};
 
 struct RepairStats {
   std::size_t iterations_run = 0;
@@ -93,14 +81,16 @@ class RepairKernel {
     return x_.row(pair);
   }
 
-  RepairStats run(const RepairOptions& options);
+  /// Runs `iterations` projection/refill passes; the last projects hard.
+  /// Throws std::invalid_argument when `iterations` is 0.
+  RepairStats run(std::size_t iterations);
 
  private:
-  /// fn(pair) over all pairs — pool-sharded or inline serial.
-  void for_each_pair(util::ThreadPool* pool,
-                     const std::function<void(std::size_t)>& fn);
-  /// Per-tunnel column sums of one pair into tunnel_sums_ (flow order).
-  void accumulate_pair(std::size_t p);
+  /// Step 1: per-link usage from flow-major tunnel sums; returns the sum
+  /// of all tunnel sums (the tensor total) in tunnel order.
+  double merge_usage();
+  /// Step 4 for one pair, against residual_.
+  void refill_pair(std::size_t p);
 
   std::vector<double> capacity_;
   util::FlatRows<double> demands_;        ///< one row per pair
@@ -109,15 +99,11 @@ class RepairKernel {
   std::vector<std::size_t> pair_tunnels_{0};   ///< pair -> tunnel row range
 
   // Scratch, reused across run() calls and iterations.
-  std::vector<double> tunnel_sums_;  ///< aligned with tunnel rows
-  std::vector<double> per_flow_;     ///< aligned with demands_ values
-  std::vector<double> unallocated_;  ///< per pair
+  std::vector<double> tunnel_sums_;  ///< one pair's column sums
+  std::vector<double> per_flow_;     ///< one pair's flow shortfalls
   std::vector<double> usage_;
   std::vector<double> scale_;
   std::vector<double> residual_;
-  /// Refill grant fractions recorded by the serial residual walk, replayed
-  /// in parallel: one row per pair of (local tunnel index, fraction).
-  util::FlatRows<std::pair<std::uint32_t, double>> grants_;
 };
 
 }  // namespace megate::te

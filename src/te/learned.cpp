@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "megate/util/stopwatch.h"
-#include "megate/util/thread_pool.h"
 
 namespace megate::te {
 namespace {
@@ -81,8 +80,7 @@ void LearnedAllocator::features(double prior_a, double weight,
   f[6] = (fp_changed ? 1.0 : 0.0) * (1.0 - weight);
 }
 
-TeSolution LearnedAllocator::allocate(const TeProblem& problem,
-                                      util::ThreadPool* pool) {
+TeSolution LearnedAllocator::allocate(const TeProblem& problem) {
   if (!problem.valid()) throw std::invalid_argument("invalid TE problem");
   std::lock_guard lock(mu_);
   const topo::Graph& g = *problem.graph;
@@ -193,10 +191,7 @@ TeSolution LearnedAllocator::allocate(const TeProblem& problem,
   }
 
   // --- Feasibility repair -------------------------------------------------
-  RepairOptions ropt;
-  ropt.iterations = options_.repair_iterations;
-  ropt.pool = pool;
-  kernel_.run(ropt);
+  kernel_.run(options_.repair_iterations);
 
   // --- Quantization: fractional splits -> indivisible flow assignments ---
   // Each repaired column is a tunnel budget the links can carry by

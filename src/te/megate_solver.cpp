@@ -209,7 +209,7 @@ SolveReport MegaTeSolver::solve_learned(const TeProblem& problem,
   // audit. A learned solution is never returned unaudited.
   if (reason.empty()) {
     util::Stopwatch sw;
-    TeSolution sol = la.allocate(problem, &thread_pool());
+    TeSolution sol = la.allocate(problem);
     stats.learned_seconds = sw.elapsed_seconds();
     stats.predicted_satisfied_gbps = sol.satisfied_gbps;
     stats.exact_estimate_gbps =
@@ -364,14 +364,8 @@ SolveReport MegaTeSolver::solve_exact(const TeProblem& problem,
         sequencing ? "q" + std::to_string(round + 1) : "all";
 
     // --- SiteMerge: aggregate this round's demands to site level ---
-    std::unordered_map<topo::SitePair, double, topo::SitePairHash> d_k;
-    for (std::size_t p = 0; p < pair_ids.size(); ++p) {
-      double sum = 0.0;
-      for (const auto& f : *pair_flows[p]) {
-        if (!sequencing || f.qos == qos) sum += f.demand_gbps;
-      }
-      if (sum > 0.0) d_k[pair_ids[p]] = sum;
-    }
+    const auto d_k =
+        traffic.site_demands(sequencing ? static_cast<int>(qos) : 0);
     if (d_k.empty()) continue;
 
     // --- Stage 1: MaxSiteFlow on residual capacity ---
