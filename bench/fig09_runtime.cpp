@@ -8,11 +8,14 @@
 // Notes on honesty: runtimes here are single-core (the paper used a
 // 24-thread Xeon + Gurobi + an A30 for TEAL), so absolute values differ;
 // the reproduction target is the *ordering and the scaling wall*. A
-// solver that declines an instance (the paper's OOM) prints "OOM/DNF".
+// solver that declines an instance (the paper's OOM) prints "OOM/DNF"
+// and reports `<solver>_status` = 0 with no `<solver>_seconds` gauge: the
+// time a solver takes to decline is not a run time.
 // The default sweep caps the largest per-topology scale to keep the whole
 // bench in minutes; set MEGATE_BENCH_FULL=1 for full Table-2 scale.
 
 #include <iostream>
+#include <optional>
 
 #include "bench_common.h"
 #include "megate/te/baselines.h"
@@ -28,15 +31,29 @@ struct SweepSpec {
   std::vector<std::uint64_t> endpoint_scales;
 };
 
-std::string run_solver(te::Solver& solver, const te::TeProblem& problem,
-                       double budget_s, double* seconds_out) {
+constexpr double kBudgetSeconds = 600;
+
+/// `<solver>_status` gauge values.
+constexpr double kSolved = 1.0;
+constexpr double kDeclined = 0.0;
+
+/// One solver at one point: its run time, or nullopt when it declined.
+struct SolverRun {
+  std::optional<double> seconds;
+
+  std::string cell() const {
+    if (!seconds) return "OOM/DNF";
+    const std::string s = util::Table::num(*seconds, 2);
+    return *seconds > kBudgetSeconds ? s + " (over budget)" : s;
+  }
+};
+
+SolverRun run_solver(te::Solver& solver, const te::TeProblem& problem) {
   util::Stopwatch sw;
-  te::TeSolution sol = solver.solve(problem);
+  const te::TeSolution sol = solver.solve(problem);
   const double s = sw.elapsed_seconds();
-  if (seconds_out) *seconds_out = s;
-  if (!sol.solved) return "OOM/DNF";
-  if (s > budget_s) return util::Table::num(s, 2) + " (over budget)";
-  return util::Table::num(s, 2);
+  if (!sol.solved) return {};
+  return {s};
 }
 
 }  // namespace
@@ -94,24 +111,19 @@ int main() {
       mega_opt.metrics = &report.metrics();  // stage/QoS timing histograms
       te::MegaTeSolver megate(mega_opt);
 
-      double lp_s = 0, nc_s = 0, teal_s = 0;
-      const std::string lp_cell = run_solver(lp_all, problem, 600, &lp_s);
-      const std::string nc_cell = run_solver(ncflow, problem, 600, &nc_s);
-      const std::string teal_cell = run_solver(teal, problem, 600, &teal_s);
+      const SolverRun lp = run_solver(lp_all, problem);
+      const SolverRun nc = run_solver(ncflow, problem);
+      const SolverRun tl = run_solver(teal, problem);
 
       util::Stopwatch mega_sw;
       const te::SolveReport mega_report =
           megate.solve(problem, te::SolveContext{});
-      const double mega_s = mega_sw.elapsed_seconds();
-      const std::string mega_cell =
-          !mega_report.solution.solved
-              ? std::string("OOM/DNF")
-              : (mega_s > 600 ? util::Table::num(mega_s, 2) + " (over budget)"
-                              : util::Table::num(mega_s, 2));
+      SolverRun mega;
+      if (mega_report.solution.solved) mega.seconds = mega_sw.elapsed_seconds();
 
       t.add_row({util::Table::with_commas(eps),
-                 util::Table::with_commas(flows), lp_cell, nc_cell,
-                 teal_cell, mega_cell,
+                 util::Table::with_commas(flows), lp.cell(), nc.cell(),
+                 tl.cell(), mega.cell(),
                  util::Table::num(mega_report.stage1_seconds, 2) + "/" +
                      util::Table::num(mega_report.stage2_seconds, 2)});
 
@@ -120,12 +132,22 @@ int main() {
                                 std::to_string(eps) + ".";
       auto& m = report.metrics();
       m.gauge(point + "flows").set(static_cast<double>(flows));
-      m.gauge(point + "lp_all_seconds").set(lp_s);
-      m.gauge(point + "ncflow_seconds").set(nc_s);
-      m.gauge(point + "teal_seconds").set(teal_s);
-      m.gauge(point + "megate_seconds").set(mega_s);
-      m.gauge(point + "megate_stage1_seconds").set(mega_report.stage1_seconds);
-      m.gauge(point + "megate_stage2_seconds").set(mega_report.stage2_seconds);
+      const auto record = [&](const std::string& solver,
+                              const SolverRun& run) {
+        m.gauge(point + solver + "_status")
+            .set(run.seconds ? kSolved : kDeclined);
+        if (run.seconds) m.gauge(point + solver + "_seconds").set(*run.seconds);
+      };
+      record("lp_all", lp);
+      record("ncflow", nc);
+      record("teal", tl);
+      record("megate", mega);
+      if (mega.seconds) {
+        m.gauge(point + "megate_stage1_seconds")
+            .set(mega_report.stage1_seconds);
+        m.gauge(point + "megate_stage2_seconds")
+            .set(mega_report.stage2_seconds);
+      }
     }
     t.print(std::cout);
     std::cout << '\n';

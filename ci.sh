@@ -88,10 +88,12 @@ run_metrics_json_check() {
     ../bench/ablation_tunnels >/dev/null &&
     ../bench/online_churn >/dev/null &&
     ../bench/ablation_prediction >/dev/null &&
+    ../bench/fig09_runtime >/dev/null &&
     ../bench/micro_kvstore --benchmark_filter=skip_all >/dev/null 2>&1)
   # check_metrics_json additionally enforces the per-bench contracts
   # (tunnel-selection hop-budget frontier, online churn regret/violation
-  # bars, learned-allocation frontier speedup/quality/audit bars).
+  # bars, learned-allocation frontier speedup/quality/audit bars, fig09's
+  # solved/declined status with no run time for a declined solve).
   ./build/tools/check_metrics_json "$out"/*.json
 }
 
@@ -153,6 +155,11 @@ ASAN_FILTER+=':SolvePathGolden.*'
 # over preallocated trees is ASan territory.
 ASAN_FILTER+=':TunnelBudgetProperty.*:KspDeterminism.*'
 ASAN_FILTER+=':CentralityBackend.*:TunnelStats.*'
+# The tunnel-build golden digests (tests/tunnel_digest_test.cpp): the
+# one Dijkstra kernel reconstructs every path from a raw parent array, and
+# the one pair loop drives build and repair — index slips there are ASan
+# territory, and the digests cover both backends, every budget and repair.
+ASAN_FILTER+=':TunnelDigest.*'
 # Online intra-interval TE (tests/online_test.cpp): DemandStream appends
 # flows at recorded tail indices and the allocator patches index-aligned
 # reservation vectors in place while snapshots copy them — stale-index

@@ -9,9 +9,8 @@
 //   kUnreachable --set_reachable(true)--> kDisconnected (backoff reset)
 //
 // Requests are strictly serialized per channel (the chaos loop and the
-// transport are single-threaded by design); asynchronous server pushes
-// (VERSION_EVENT) interleaving with responses are captured into an event
-// queue instead of confusing the matcher. A response timeout closes the
+// transport are single-threaded by design); the server never pushes, so
+// every frame read is a response. A response timeout closes the
 // connection — the stream has an in-flight response of unknown length
 // and cannot be reused.
 //
@@ -24,7 +23,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "megate/net/frame.h"
 #include "megate/net/socket.h"
@@ -88,8 +86,6 @@ class ShardChannel {
 
   /// HELLO_ACK data from the most recent successful handshake.
   const HelloAckMsg& last_hello_ack() const noexcept { return hello_ack_; }
-  /// VERSION_EVENT pushes observed while reading responses; clears.
-  std::vector<ctrl::Version> drain_version_events();
 
   const Stats& stats() const noexcept { return stats_; }
   const CodecCounters& codec_counters() const noexcept { return codec_; }
@@ -112,7 +108,6 @@ class ShardChannel {
   std::uint32_t next_request_id_ = 1;
   int backoff_delay_ms_ = 0;
   Clock::time_point backoff_until_{};
-  std::vector<ctrl::Version> version_events_;
   Stats stats_;
 };
 

@@ -41,17 +41,6 @@
 
 namespace megate::te {
 
-struct RepairStats {
-  std::size_t iterations_run = 0;
-  /// True when the post-repair allocations fit every link within
-  /// capacity * (1 + 1e-9) — the hard final projection guarantees this
-  /// up to rounding; false signals a genuine kernel bug upstream.
-  bool feasible = false;
-  double max_utilization = 0.0;
-  /// Sum of the repaired tensor (the satisfied demand it represents).
-  double allocated_gbps = 0.0;
-};
-
 /// Reusable SoA arena + the repair loop. Build order per problem:
 /// reset(capacity), then per pair: begin_pair(demands), add_tunnel(links)
 /// for each usable tunnel, finish_pair(); write the initial allocations
@@ -81,14 +70,14 @@ class RepairKernel {
     return x_.row(pair);
   }
 
-  /// Runs `iterations` projection/refill passes; the last projects hard.
-  /// Throws std::invalid_argument when `iterations` is 0.
-  RepairStats run(std::size_t iterations);
+  /// Runs `iterations` projection/refill passes; the last projects hard,
+  /// so the repaired tensor read back through x(pair) fits every link up
+  /// to rounding. Throws std::invalid_argument when `iterations` is 0.
+  void run(std::size_t iterations);
 
  private:
-  /// Step 1: per-link usage from flow-major tunnel sums; returns the sum
-  /// of all tunnel sums (the tensor total) in tunnel order.
-  double merge_usage();
+  /// Step 1: per-link usage from flow-major tunnel sums.
+  void merge_usage();
   /// Step 4 for one pair, against residual_.
   void refill_pair(std::size_t p);
 

@@ -39,9 +39,8 @@ void RepairKernel::finish_pair() {
   x_.extend_fill(demands_.row_size(p) * tunnels, 0.0);
 }
 
-double RepairKernel::merge_usage() {
+void RepairKernel::merge_usage() {
   std::fill(usage_.begin(), usage_.end(), 0.0);
-  double total = 0.0;
   for (std::size_t p = 0; p < num_pairs(); ++p) {
     const std::size_t t0 = pair_tunnels_[p];
     const std::size_t nt = pair_tunnels_[p + 1] - t0;
@@ -57,11 +56,9 @@ double RepairKernel::merge_usage() {
     }
     for (std::size_t a = 0; a < nt; ++a) {
       const double s = tunnel_sums_[a];
-      total += s;
       for (topo::EdgeId e : tunnel_links_.row(t0 + a)) usage_[e] += s;
     }
   }
-  return total;
 }
 
 void RepairKernel::refill_pair(std::size_t p) {
@@ -96,7 +93,7 @@ void RepairKernel::refill_pair(std::size_t p) {
   }
 }
 
-RepairStats RepairKernel::run(std::size_t iterations) {
+void RepairKernel::run(std::size_t iterations) {
   if (iterations == 0) {
     throw std::invalid_argument("RepairKernel::run needs iterations >= 1");
   }
@@ -147,20 +144,6 @@ RepairStats RepairKernel::run(std::size_t iterations) {
     }
     for (std::size_t p = 0; p < num_pairs(); ++p) refill_pair(p);
   }
-
-  // Final audit: usage of the repaired tensor and headline stats.
-  RepairStats stats;
-  stats.iterations_run = iterations;
-  stats.allocated_gbps = merge_usage();
-  stats.feasible = true;
-  for (std::size_t e = 0; e < num_links; ++e) {
-    const double cap = capacity_[e];
-    if (cap > 0.0) {
-      stats.max_utilization = std::max(stats.max_utilization, usage_[e] / cap);
-    }
-    if (usage_[e] > cap * (1.0 + 1e-9) + 1e-12) stats.feasible = false;
-  }
-  return stats;
 }
 
 }  // namespace megate::te

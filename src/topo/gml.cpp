@@ -160,7 +160,8 @@ Graph read_gml(std::istream& is, const GmlOptions& options) {
   std::map<long, NodeId> by_id;
   std::set<std::string> used_names;
   for (const RawNode& n : nodes) {
-    std::string name = n.label.empty() ? "n" + std::to_string(n.id) : n.label;
+    std::string name = n.label;
+    if (name.empty()) name.append("n").append(std::to_string(n.id));
     // Topology Zoo labels can repeat or contain spaces; sanitize + dedup.
     for (char& c : name) {
       if (std::isspace(static_cast<unsigned char>(c))) c = '_';

@@ -22,8 +22,10 @@ struct QueueItem {
 
 }  // namespace
 
-std::optional<Path> shortest_path(const Graph& g, NodeId src, NodeId dst,
-                                  const PathConstraints& constraints) {
+std::vector<EdgeId> shortest_path_tree(const Graph& g, NodeId src,
+                                       PathMetric metric,
+                                       const PathConstraints& constraints,
+                                       NodeId stop) {
   const std::size_t n = g.num_nodes();
   std::vector<double> dist(n, kInf);
   std::vector<EdgeId> parent(n, kInvalidEdge);
@@ -44,12 +46,13 @@ std::optional<Path> shortest_path(const Graph& g, NodeId src, NodeId dst,
     auto [d, v] = pq.top();
     pq.pop();
     if (d > dist[v]) continue;  // stale entry
-    if (v == dst) break;
+    if (v == stop) break;
     for (EdgeId e : g.out_edges(v)) {
       const Link& l = g.link(e);
       if (!l.up || link_banned(e)) continue;
-      if (l.dst != dst && node_banned(l.dst)) continue;
-      const double nd = d + l.latency_ms;
+      if (l.dst != stop && node_banned(l.dst)) continue;
+      const double nd =
+          d + (metric == PathMetric::kHops ? 1.0 : l.latency_ms);
       if (nd < dist[l.dst]) {
         dist[l.dst] = nd;
         parent[l.dst] = e;
@@ -63,40 +66,31 @@ std::optional<Path> shortest_path(const Graph& g, NodeId src, NodeId dst,
       }
     }
   }
+  return parent;
+}
 
-  if (dist[dst] == kInf) return std::nullopt;
+Path tree_path(const Graph& g, const std::vector<EdgeId>& parent, NodeId src,
+               NodeId dst) {
   Path p;
-  p.latency_ms = dist[dst];
-  for (NodeId v = dst; v != src;) {
+  if (src == dst) return p;
+  NodeId v = dst;
+  while (v != src) {
     const EdgeId e = parent[v];
+    if (e == kInvalidEdge) return Path{};  // unreachable
     p.links.push_back(e);
     v = g.link(e).src;
   }
   std::reverse(p.links.begin(), p.links.end());
+  for (EdgeId e : p.links) p.latency_ms += g.link(e).latency_ms;
   return p;
 }
 
-std::vector<double> shortest_distances(const Graph& g, NodeId src) {
-  const std::size_t n = g.num_nodes();
-  std::vector<double> dist(n, kInf);
-  std::priority_queue<QueueItem, std::vector<QueueItem>, std::greater<>> pq;
-  dist[src] = 0.0;
-  pq.push({0.0, src});
-  while (!pq.empty()) {
-    auto [d, v] = pq.top();
-    pq.pop();
-    if (d > dist[v]) continue;
-    for (EdgeId e : g.out_edges(v)) {
-      const Link& l = g.link(e);
-      if (!l.up) continue;
-      const double nd = d + l.latency_ms;
-      if (nd < dist[l.dst]) {
-        dist[l.dst] = nd;
-        pq.push({nd, l.dst});
-      }
-    }
-  }
-  return dist;
+std::optional<Path> shortest_path(const Graph& g, NodeId src, NodeId dst,
+                                  const PathConstraints& constraints) {
+  const std::vector<EdgeId> parent =
+      shortest_path_tree(g, src, PathMetric::kLatency, constraints, dst);
+  if (dst != src && parent[dst] == kInvalidEdge) return std::nullopt;
+  return tree_path(g, parent, src, dst);
 }
 
 }  // namespace megate::topo

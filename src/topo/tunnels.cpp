@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <queue>
 #include <set>
 #include <unordered_set>
 
@@ -53,16 +51,19 @@ bool fits_budget(const Path& p, std::uint32_t max_hops) {
   return max_hops == 0 || p.links.size() <= max_hops;
 }
 
-/// Yen's core. `filtered_out`, when non-null, receives the number of
-/// generated loopless paths that were discarded by the hop budget.
+/// Yen's core. `*reachable` reports whether the first search reached
+/// `dst`; `filtered_out`, when non-null, receives the number of generated
+/// loopless paths that were discarded by the hop budget.
 std::vector<Path> yen_paths(const Graph& g, NodeId src, NodeId dst,
                             std::uint32_t k, std::uint32_t max_candidates,
-                            std::uint32_t max_hops,
+                            std::uint32_t max_hops, bool* reachable,
                             std::size_t* filtered_out) {
   std::vector<Path> admissible;
-  if (k == 0 || src == dst) return admissible;
+  *reachable = false;
+  if (src == dst) return admissible;
   auto first = shortest_path(g, src, dst);
-  if (!first) return admissible;
+  *reachable = first.has_value();
+  if (!first || k == 0) return admissible;
 
   // `generated` is Yen's A-list (every accepted loopless path, ascending
   // latency); `admissible` is the subset within the hop budget. Spurs
@@ -146,75 +147,6 @@ std::vector<Path> yen_paths(const Graph& g, NodeId src, NodeId dst,
     *filtered_out += generated.size() - admissible.size();
   }
   return admissible;
-}
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-struct TreeQueueItem {
-  double dist;
-  NodeId node;
-  // Ties broken on node id so pop order never depends on heap internals.
-  bool operator>(const TreeQueueItem& o) const noexcept {
-    if (dist != o.dist) return dist > o.dist;
-    return node > o.node;
-  }
-};
-
-/// Full shortest-path tree from `src` over up links: parent edge per
-/// node (kInvalidEdge = unreachable / the source). At equal distance the
-/// smallest parent edge id wins, giving a canonical tree. `hop_metric`
-/// weighs every link 1.0 (hop-shortest tree — the minimum possible SR hop
-/// count per destination) instead of its latency.
-std::vector<EdgeId> dijkstra_tree(const Graph& g, NodeId src,
-                                  bool hop_metric = false) {
-  const std::size_t n = g.num_nodes();
-  std::vector<double> dist(n, kInf);
-  std::vector<EdgeId> parent(n, kInvalidEdge);
-  std::priority_queue<TreeQueueItem, std::vector<TreeQueueItem>,
-                      std::greater<>>
-      pq;
-  dist[src] = 0.0;
-  pq.push({0.0, src});
-  while (!pq.empty()) {
-    auto [d, v] = pq.top();
-    pq.pop();
-    if (d > dist[v]) continue;  // stale entry
-    for (EdgeId e : g.out_edges(v)) {
-      const Link& l = g.link(e);
-      if (!l.up) continue;
-      const double nd = d + (hop_metric ? 1.0 : l.latency_ms);
-      if (nd < dist[l.dst]) {
-        dist[l.dst] = nd;
-        parent[l.dst] = e;
-        pq.push({nd, l.dst});
-      } else if (nd == dist[l.dst] && d < dist[l.dst] &&
-                 e < parent[l.dst]) {
-        // Same distance: canonical (smallest) parent edge. The d < dist
-        // guard keeps parent chains acyclic under zero-latency links.
-        parent[l.dst] = e;
-      }
-    }
-  }
-  return parent;
-}
-
-/// Reconstructs src -> dst from src's parent tree, or an empty path if
-/// unreachable. Latency is re-summed in link order so equal paths always
-/// carry bitwise-equal latency regardless of how they were found.
-Path tree_path(const Graph& g, const std::vector<EdgeId>& parent,
-               NodeId src, NodeId dst) {
-  Path p;
-  if (src == dst) return p;
-  NodeId v = dst;
-  while (v != src) {
-    const EdgeId e = parent[v];
-    if (e == kInvalidEdge) return Path{};  // unreachable
-    p.links.push_back(e);
-    v = g.link(e).src;
-  }
-  std::reverse(p.links.begin(), p.links.end());
-  for (EdgeId e : p.links) p.latency_ms += g.link(e).latency_ms;
-  return p;
 }
 
 std::vector<Tunnel> paths_to_tunnels(const std::vector<Path>& paths) {
@@ -330,16 +262,23 @@ std::vector<NodeId> pick_middlepoints(
   return group;
 }
 
+/// One shortest_path_tree per source over the up links.
+std::vector<std::vector<EdgeId>> source_trees(const Graph& g,
+                                              PathMetric metric) {
+  const auto n = static_cast<NodeId>(g.num_nodes());
+  std::vector<std::vector<EdgeId>> trees;
+  trees.reserve(n);
+  for (NodeId s = 0; s < n; ++s) {
+    trees.push_back(shortest_path_tree(g, s, metric));
+  }
+  return trees;
+}
+
 CentralityContext make_centrality_context(const Graph& g,
                                           const TunnelOptions& options) {
   CentralityContext ctx;
-  const auto n = static_cast<NodeId>(g.num_nodes());
-  ctx.trees.reserve(n);
-  ctx.hop_trees.reserve(n);
-  for (NodeId s = 0; s < n; ++s) {
-    ctx.trees.push_back(dijkstra_tree(g, s));
-    ctx.hop_trees.push_back(dijkstra_tree(g, s, /*hop_metric=*/true));
-  }
+  ctx.trees = source_trees(g, PathMetric::kLatency);
+  ctx.hop_trees = source_trees(g, PathMetric::kHops);
   // Middlepoints are selected on the latency trees: group betweenness of
   // the preference metric, matching the paper's centrality definition.
   ctx.middlepoints =
@@ -419,39 +358,28 @@ std::vector<Path> centrality_paths(const Graph& g,
   return candidates;
 }
 
-/// Builds one pair with the configured backend; updates `stats`.
+/// Builds one pair with the configured backend; updates `stats`. An empty
+/// result is attributed to the hop budget when the pair is reachable and
+/// to the topology when it is not.
 std::vector<Path> build_pair_paths(const Graph& g, NodeId s, NodeId d,
                                    const TunnelOptions& options,
-                                   const CentralityContext* ctx,
+                                   const CentralityContext& ctx,
                                    TunnelBuildStats& stats) {
-  std::vector<Path> paths;
-  if (options.selection == TunnelSelection::kCentrality) {
-    bool reachable = false;
-    paths = centrality_paths(g, *ctx, s, d, options, &reachable,
-                             &stats.paths_budget_filtered);
-    if (paths.empty()) {
-      if (reachable) {
-        ++stats.pairs_budget_excluded;
-      } else {
-        ++stats.pairs_unreachable;
-      }
-      return paths;
-    }
-  } else {
-    paths = yen_paths(g, s, d, options.tunnels_per_pair,
+  bool reachable = false;
+  std::vector<Path> paths =
+      options.selection == TunnelSelection::kCentrality
+          ? centrality_paths(g, ctx, s, d, options, &reachable,
+                             &stats.paths_budget_filtered)
+          : yen_paths(g, s, d, options.tunnels_per_pair,
                       options.max_candidates, options.max_sr_hops,
-                      &stats.paths_budget_filtered);
-    if (paths.empty()) {
-      // Attribute the emptiness: partitioned graph vs hop budget.
-      if (options.max_sr_hops > 0 && shortest_path(g, s, d).has_value()) {
-        ++stats.pairs_budget_excluded;
-      } else {
-        ++stats.pairs_unreachable;
-      }
-      return paths;
-    }
+                      &reachable, &stats.paths_budget_filtered);
+  if (!paths.empty()) {
+    ++stats.pairs_built;
+  } else if (reachable) {
+    ++stats.pairs_budget_excluded;
+  } else {
+    ++stats.pairs_unreachable;
   }
-  ++stats.pairs_built;
   return paths;
 }
 
@@ -470,12 +398,34 @@ void publish_stats_delta(obs::MetricsRegistry* metrics,
       .inc(delta.paths_budget_filtered);
 }
 
-void accumulate_stats(TunnelBuildStats& total, const TunnelBuildStats& d) {
-  total.pairs_built += d.pairs_built;
-  total.pairs_unreachable += d.pairs_unreachable;
-  total.pairs_budget_excluded += d.pairs_budget_excluded;
-  total.paths_budget_filtered += d.paths_budget_filtered;
-  total.middlepoints = std::max(total.middlepoints, d.middlepoints);
+/// The one pair loop behind build_tunnels and repair_tunnels: builds
+/// `pairs` in the given order with the configured backend, stores each
+/// pair's tunnels, and adds the call's stats to the set and the registry.
+/// A pair left with no path is stored only when it had tunnels to replace,
+/// so a fresh build never lists empty pairs and a repair clears dead ones.
+void build_pairs(const Graph& g, const std::vector<SitePair>& pairs,
+                 const TunnelOptions& options, TunnelSet& set) {
+  CentralityContext ctx;
+  TunnelBuildStats delta;
+  if (options.selection == TunnelSelection::kCentrality) {
+    // Repair re-selects middlepoints on the degraded graph so repaired
+    // tunnels keep the backend's invariants (and the hop budget).
+    ctx = make_centrality_context(g, options);
+    delta.middlepoints = ctx.middlepoints.size();
+  }
+  for (const SitePair& pair : pairs) {
+    auto paths = build_pair_paths(g, pair.src, pair.dst, options, ctx, delta);
+    if (!paths.empty() || !set.tunnels(pair.src, pair.dst).empty()) {
+      set.set_tunnels(pair.src, pair.dst, paths_to_tunnels(paths));
+    }
+  }
+  TunnelBuildStats& total = set.mutable_stats();
+  total.pairs_built += delta.pairs_built;
+  total.pairs_unreachable += delta.pairs_unreachable;
+  total.pairs_budget_excluded += delta.pairs_budget_excluded;
+  total.paths_budget_filtered += delta.paths_budget_filtered;
+  total.middlepoints = std::max(total.middlepoints, delta.middlepoints);
+  publish_stats_delta(options.metrics, delta);
 }
 
 }  // namespace
@@ -484,36 +434,27 @@ std::vector<Path> k_shortest_paths(const Graph& g, NodeId src, NodeId dst,
                                    std::uint32_t k,
                                    std::uint32_t max_candidates,
                                    std::uint32_t max_hops) {
-  return yen_paths(g, src, dst, k, max_candidates, max_hops, nullptr);
+  bool reachable = false;
+  return yen_paths(g, src, dst, k, max_candidates, max_hops, &reachable,
+                   nullptr);
 }
 
 std::vector<NodeId> select_middlepoints(const Graph& g,
                                         std::uint32_t count) {
-  const auto n = static_cast<NodeId>(g.num_nodes());
-  std::vector<std::vector<EdgeId>> trees;
-  trees.reserve(n);
-  for (NodeId s = 0; s < n; ++s) trees.push_back(dijkstra_tree(g, s));
-  return pick_middlepoints(g, trees, count);
+  return pick_middlepoints(g, source_trees(g, PathMetric::kLatency), count);
 }
 
 TunnelSet build_tunnels(const Graph& g, const TunnelOptions& options) {
-  TunnelSet set;
   const auto n = static_cast<NodeId>(g.num_nodes());
-  CentralityContext ctx;
-  TunnelBuildStats delta;
-  if (options.selection == TunnelSelection::kCentrality) {
-    ctx = make_centrality_context(g, options);
-    delta.middlepoints = ctx.middlepoints.size();
-  }
+  std::vector<SitePair> pairs;
+  pairs.reserve(static_cast<std::size_t>(n) * (n > 0 ? n - 1 : 0));
   for (NodeId s = 0; s < n; ++s) {
     for (NodeId d = 0; d < n; ++d) {
-      if (s == d) continue;
-      auto paths = build_pair_paths(g, s, d, options, &ctx, delta);
-      if (!paths.empty()) set.set_tunnels(s, d, paths_to_tunnels(paths));
+      if (s != d) pairs.push_back(SitePair{s, d});
     }
   }
-  accumulate_stats(set.mutable_stats(), delta);
-  publish_stats_delta(options.metrics, delta);
+  TunnelSet set;
+  build_pairs(g, pairs, options, set);
   return set;
 }
 
@@ -532,21 +473,7 @@ void repair_tunnels(const Graph& g, TunnelSet& tunnels,
               if (a.src != b.src) return a.src < b.src;
               return a.dst < b.dst;
             });
-  CentralityContext ctx;
-  TunnelBuildStats delta;
-  if (options.selection == TunnelSelection::kCentrality) {
-    // Middlepoints are re-selected on the degraded graph so repaired
-    // tunnels keep the backend's invariants (and the hop budget).
-    ctx = make_centrality_context(g, options);
-    delta.middlepoints = ctx.middlepoints.size();
-  }
-  for (const SitePair& pair : to_fix) {
-    auto paths =
-        build_pair_paths(g, pair.src, pair.dst, options, &ctx, delta);
-    tunnels.set_tunnels(pair.src, pair.dst, paths_to_tunnels(paths));
-  }
-  accumulate_stats(tunnels.mutable_stats(), delta);
-  publish_stats_delta(options.metrics, delta);
+  build_pairs(g, to_fix, options, tunnels);
 }
 
 }  // namespace megate::topo

@@ -81,7 +81,11 @@ TEST(KvStore, ConcurrentReadersAndWriters) {
   for (int w = 0; w < 4; ++w) {
     threads.emplace_back([&kv, w] {
       for (int i = 0; i < 500; ++i) {
-        kv.put("k" + std::to_string(w) + "/" + std::to_string(i), "v");
+        // append, not `const char* + std::string&&`: GCC 12 flags the
+        // latter with a false -Wrestrict at -O3.
+        std::string key = "k";
+        key.append(std::to_string(w)).append("/").append(std::to_string(i));
+        kv.put(key, "v");
         (void)kv.try_get("k0/" + std::to_string(i % 100));
       }
     });

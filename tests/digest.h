@@ -75,4 +75,36 @@ inline void digest_te_solution(Digest& d, const te::TeSolution& sol) {
   }
 }
 
+/// Every tunnel of a TunnelSet (links, latency_ms and weight bits) with
+/// pairs in (src, dst) order, then all five TunnelBuildStats fields. Pairs
+/// present with an empty list (a repaired pair left with no path) hash
+/// differently from absent pairs.
+inline void digest_tunnel_set(Digest& d, const topo::TunnelSet& ts) {
+  std::vector<topo::SitePair> keys;
+  keys.reserve(ts.num_pairs());
+  for (const auto& [pair, tunnels] : ts.all()) keys.push_back(pair);
+  std::sort(keys.begin(), keys.end(), [](const auto& a, const auto& b) {
+    return a.src != b.src ? a.src < b.src : a.dst < b.dst;
+  });
+  d.add(static_cast<std::uint64_t>(keys.size()));
+  for (const topo::SitePair& k : keys) {
+    const auto& tunnels = ts.tunnels(k.src, k.dst);
+    d.add(static_cast<std::uint64_t>(k.src));
+    d.add(static_cast<std::uint64_t>(k.dst));
+    d.add(static_cast<std::uint64_t>(tunnels.size()));
+    for (const topo::Tunnel& t : tunnels) {
+      d.add(static_cast<std::uint64_t>(t.links.size()));
+      for (topo::EdgeId e : t.links) d.add(static_cast<std::uint64_t>(e));
+      d.add(t.latency_ms);
+      d.add(t.weight);
+    }
+  }
+  const topo::TunnelBuildStats& s = ts.stats();
+  d.add(static_cast<std::uint64_t>(s.pairs_built));
+  d.add(static_cast<std::uint64_t>(s.pairs_unreachable));
+  d.add(static_cast<std::uint64_t>(s.pairs_budget_excluded));
+  d.add(static_cast<std::uint64_t>(s.paths_budget_filtered));
+  d.add(static_cast<std::uint64_t>(s.middlepoints));
+}
+
 }  // namespace megate::testing

@@ -306,6 +306,46 @@ TEST(TealRepairParity, ArenaReuseAcrossSolvesIsBitStable) {
 // Part 2 — RepairKernel unit behaviour.
 // ===========================================================================
 
+/// Per-pair tunnel link lists of a RepairKernel problem, in add order.
+using PairTunnels = std::vector<std::vector<topo::EdgeId>>;
+
+/// Audit of a repaired tensor read back through x(pair): per-link usage
+/// from flow-major tunnel sums merged in pair order, its total, the max
+/// utilization and capacity feasibility (within 1e-9 relative).
+struct RepairAudit {
+  bool feasible = true;
+  double max_utilization = 0.0;
+  double allocated_gbps = 0.0;
+};
+
+RepairAudit audit_repair(const te::RepairKernel& k,
+                         const std::vector<double>& cap,
+                         const std::vector<PairTunnels>& tunnels) {
+  RepairAudit audit;
+  std::vector<double> usage(cap.size(), 0.0);
+  for (std::size_t p = 0; p < tunnels.size(); ++p) {
+    const auto x = k.x(p);
+    const std::size_t nt = tunnels[p].size();
+    const std::size_t nf = x.size() / nt;
+    std::vector<double> sums(nt, 0.0);
+    for (std::size_t i = 0; i < nf; ++i) {
+      for (std::size_t a = 0; a < nt; ++a) sums[a] += x[i * nt + a];
+    }
+    for (std::size_t a = 0; a < nt; ++a) {
+      audit.allocated_gbps += sums[a];
+      for (topo::EdgeId e : tunnels[p][a]) usage[e] += sums[a];
+    }
+  }
+  for (std::size_t e = 0; e < cap.size(); ++e) {
+    if (cap[e] > 0.0) {
+      audit.max_utilization = std::max(audit.max_utilization,
+                                       usage[e] / cap[e]);
+    }
+    if (usage[e] > cap[e] * (1.0 + 1e-9) + 1e-12) audit.feasible = false;
+  }
+  return audit;
+}
+
 TEST(RepairKernel, RejectsZeroIterations) {
   te::RepairKernel k;
   const std::vector<double> cap = {10.0};
@@ -338,7 +378,8 @@ TEST(RepairKernel, HardFinalProjectionYieldsFeasibility) {
   x[1] = 5.0;   // flow 0 -> tunnel 1
   x[2] = 15.0;  // flow 1 -> tunnel 0
   x[3] = 5.0;   // flow 1 -> tunnel 1
-  const te::RepairStats stats = k.run(4);
+  k.run(4);
+  const RepairAudit stats = audit_repair(k, cap, {{t0, t1}});
   EXPECT_TRUE(stats.feasible);
   EXPECT_LE(stats.max_utilization, 1.0 + 1e-9);
   // Link 0 carries both tunnels; its usage must have been projected down
@@ -363,8 +404,8 @@ TEST(RepairKernel, DownLinkZeroesItsTunnel) {
   auto x = k.x(p);
   x[0] = 4.0;
   x[1] = 4.0;
-  const te::RepairStats stats = k.run(3);
-  EXPECT_TRUE(stats.feasible);
+  k.run(3);
+  EXPECT_TRUE(audit_repair(k, cap, {{dead, live}}).feasible);
   const auto xr = k.x(p);
   EXPECT_EQ(xr[0], 0.0);
   // The refill re-routes the freed demand onto the live tunnel.
@@ -393,7 +434,8 @@ TEST(RepairKernel, RefillRecoversCapacityFreedByProjection) {
   k.x(pb)[0] = 20.0;  // all of B initially on the shared (overloaded) link
   k.x(pb)[1] = 0.0;
   // Soft projection converges geometrically.
-  const te::RepairStats stats = k.run(16);
+  k.run(16);
+  const RepairAudit stats = audit_repair(k, cap, {{shared}, {shared, priv}});
   EXPECT_TRUE(stats.feasible);
   // Projection alone would scale the shared link down to its 10 Gbps and
   // strand B's excess; the refill walks B's unallocated demand onto the
@@ -421,6 +463,7 @@ std::uint64_t jagged_repair_digest(double proposal_scale) {
     util::Rng r(1000 + round);
     te::RepairKernel k;
     k.reset(cap);
+    std::vector<PairTunnels> tunnels(pairs);
     for (std::size_t p = 0; p < pairs; ++p) {
       std::vector<double> demands(1 + static_cast<std::size_t>(
                                           r.uniform() * 4));
@@ -434,6 +477,7 @@ std::uint64_t jagged_repair_digest(double proposal_scale) {
           e = static_cast<topo::EdgeId>(r.uniform() * links);
         }
         k.add_tunnel(path);
+        tunnels[p].push_back(std::move(path));
       }
       k.finish_pair();
       for (double& v : k.x(p)) v = 10.0 * r.uniform();
@@ -442,8 +486,10 @@ std::uint64_t jagged_repair_digest(double proposal_scale) {
       for (double& v : k.x(p)) v *= proposal_scale;
     }
 
-    const te::RepairStats stats = k.run(7);
-    all.add(static_cast<std::uint64_t>(stats.iterations_run));
+    const std::size_t iterations = 7;
+    k.run(iterations);
+    const RepairAudit stats = audit_repair(k, cap, tunnels);
+    all.add(static_cast<std::uint64_t>(iterations));
     all.add(static_cast<std::uint64_t>(stats.feasible));
     all.add(stats.max_utilization);
     all.add(stats.allocated_gbps);

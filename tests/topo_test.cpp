@@ -128,14 +128,6 @@ TEST(ShortestPath, BannedLinksAreAvoided) {
   EXPECT_DOUBLE_EQ(p->latency_ms, 5.0);
 }
 
-TEST(ShortestPath, DistancesOneToAll) {
-  Graph g = triangle();
-  auto dist = shortest_distances(g, 0);
-  EXPECT_DOUBLE_EQ(dist[0], 0.0);
-  EXPECT_DOUBLE_EQ(dist[1], 1.0);
-  EXPECT_DOUBLE_EQ(dist[2], 2.0);
-}
-
 // --- Yen's KSP ------------------------------------------------------------
 
 TEST(Ksp, ReturnsSortedLooplessDistinctPaths) {

@@ -95,23 +95,6 @@ TEST(TunnelBudgetProperty, EveryBuiltTunnelSerializesUnderBudget) {
   }
 }
 
-TEST(TunnelBudgetProperty, UnlimitedBudgetMatchesLegacyBuild) {
-  GeneratorOptions gopt;
-  gopt.seed = 13;
-  const Graph g = make_isp_like(16, 26, gopt);
-  const TunnelSet legacy = build_tunnels(g);
-  TunnelOptions opt;  // max_sr_hops = 0 (unlimited), kKsp
-  const TunnelSet budgeted = build_tunnels(g, opt);
-  ASSERT_EQ(legacy.num_pairs(), budgeted.num_pairs());
-  for (const auto& [pair, tunnels] : legacy.all()) {
-    const auto& other = budgeted.tunnels(pair.src, pair.dst);
-    ASSERT_EQ(tunnels.size(), other.size());
-    for (std::size_t i = 0; i < tunnels.size(); ++i) {
-      EXPECT_EQ(tunnels[i].links, other[i].links);
-    }
-  }
-}
-
 TEST(TunnelBudgetProperty, RepairKeepsTheBudget) {
   GeneratorOptions gopt;
   gopt.seed = 29;

@@ -261,6 +261,72 @@ std::vector<std::string> check_ablation_prediction(
   return violations;
 }
 
+/// Contract check for BENCH_fig09_runtime.json — run time vs endpoints.
+/// Sweep points are discovered from the "fig09.<topo>.eps<N>.flows"
+/// gauges. At every point each solver (lp_all, ncflow, teal, megate)
+/// reports "<solver>_status": 1 when it solved, 0 when it declined the
+/// instance (the paper's OOM/DNF). A solved run must carry its
+/// "<solver>_seconds" gauge; a declined one must not — the time a solver
+/// takes to decline is not a run time. MegaTE's stage split follows its
+/// status the same way.
+std::vector<std::string> check_fig09_runtime(const megate::obs::Json& doc) {
+  std::vector<std::string> violations;
+  const auto* gauges = doc.find("gauges");
+  if (gauges == nullptr || !gauges->is_object()) {
+    violations.push_back("missing gauges object");
+    return violations;
+  }
+  auto gauge = [&](const std::string& name) {
+    const auto* g = gauges->find(name);
+    return (g != nullptr && g->is_number()) ? g : nullptr;
+  };
+  const std::string prefix = "fig09.";
+  const std::string tail = ".flows";
+  std::size_t points = 0;
+  for (const auto& [name, value] : gauges->members()) {
+    if (name.compare(0, prefix.size(), prefix) != 0) continue;
+    if (name.size() <= tail.size() ||
+        name.compare(name.size() - tail.size(), tail.size(), tail) != 0) {
+      continue;
+    }
+    ++points;
+    const std::string stem = name.substr(0, name.size() - tail.size()) + ".";
+    for (const char* solver : {"lp_all", "ncflow", "teal", "megate"}) {
+      const std::string s = stem + solver;
+      const auto* status = gauge(s + "_status");
+      if (status == nullptr) {
+        violations.push_back("missing gauge " + s + "_status");
+        continue;
+      }
+      std::vector<std::string> timed = {s + "_seconds"};
+      if (std::string(solver) == "megate") {
+        timed.push_back(s + "_stage1_seconds");
+        timed.push_back(s + "_stage2_seconds");
+      }
+      const double st = status->as_number();
+      if (st != 0.0 && st != 1.0) {
+        violations.push_back(s + "_status must be 1 (solved) or 0 "
+                             "(declined)");
+        continue;
+      }
+      for (const std::string& t : timed) {
+        if (st == 1.0 && gauge(t) == nullptr) {
+          violations.push_back("missing gauge " + t + " for a solved run");
+        } else if (st == 0.0 && gauges->find(t) != nullptr) {
+          violations.push_back(t + " must be absent: the solver declined "
+                               "the instance, so there is no run time");
+        }
+      }
+    }
+    (void)value;
+  }
+  if (points == 0) {
+    violations.push_back("no fig09.<topo>.eps<N>.flows gauges — the run "
+                         "time sweep is missing");
+  }
+  return violations;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -294,6 +360,8 @@ int main(int argc, char** argv) {
         violations = check_online_churn(*doc);
       } else if (source->as_string() == "bench/ablation_prediction") {
         violations = check_ablation_prediction(*doc);
+      } else if (source->as_string() == "bench/fig09_runtime") {
+        violations = check_fig09_runtime(*doc);
       }
     }
     if (!violations.empty()) {
